@@ -81,6 +81,19 @@ cargo run -q --release -p dgc-bench --bin bench_harness -- \
     --out BENCH_ensemble.json --golden results/bench_golden.json \
     --tolerance 0.05 --wall-factor 10
 
+echo "== perfbench: benchmark contract (digests and exact per-layer counts) =="
+# The repo benchmark's workloads pin the ensemble executor's simulated
+# output: ensemble-1024 runs a two-device fleet with a retry round,
+# serve-closed 96 one-device waves. run.py reports correct=false when a
+# pass's digest or an exact per-layer count differs from
+# perfbench/baseline.json, so a moved simulated number fails here.
+for workload in ensemble-1024 serve-closed; do
+    result="$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 | tail -n 1)"
+    echo "$workload: ${result:0:80}..."
+    grep -q '"correct": true' <<< "$result"
+    grep -q '"failed": 0,' <<< "$result"
+done
+
 echo "== insight: ledger trend gate + critical-path/flamegraph smoke =="
 # Append the fresh bench run to a working copy of the checked-in ledger
 # (CI must not dirty the tree), render the trend report, and gate the

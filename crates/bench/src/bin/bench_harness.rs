@@ -17,13 +17,14 @@
 //!     --tolerance 0.05 --wall-factor 10
 //! ```
 
-use dgc_bench::{measure_config_detailed_on, smoke_workloads};
+use dgc_bench::{measure_config, smoke_workloads};
 use dgc_core::EnsembleOptions;
+use dgc_fault::{run_ensemble_sharded_resilient_mem_aware, FaultPlan, RecoveryPolicy};
 use dgc_obs::Recorder;
 use dgc_prof::{
     config_fingerprint, git_rev, BenchDiff, BenchReport, BenchSection, BENCH_SCHEMA_VERSION,
 };
-use dgc_sched::{run_ensemble_sharded, Placement};
+use dgc_sched::Placement;
 use gpu_arch::GpuSpec;
 use gpu_sim::DeviceFleet;
 use std::time::Instant;
@@ -93,7 +94,7 @@ fn main() {
     let mut sim_s = 0.0f64;
     for w in &smoke_workloads() {
         for &n in &SWEEP_COUNTS {
-            let m = measure_config_detailed_on(&spec, w, n, SWEEP_THREAD_LIMIT);
+            let m = measure_config(&spec, w, n, SWEEP_THREAD_LIMIT, None);
             // OOM configurations (pagerank at 8) attempt but complete
             // nothing; only completed instances count toward throughput.
             if let Some(t) = m.time_s {
@@ -120,14 +121,22 @@ fn main() {
         cycle_args: true,
         ..Default::default()
     };
-    let sharded = run_ensemble_sharded(
+    let no_recovery = RecoveryPolicy {
+        max_attempts: 1,
+        oom_split: false,
+        ..RecoveryPolicy::default()
+    };
+    let sharded = run_ensemble_sharded_resilient_mem_aware(
         &mut fleet,
         &workload.app(),
         std::slice::from_ref(&workload.args),
         &opts,
         0,
         Placement::Lpt,
+        &FaultPlan::default(),
+        &no_recovery,
         &mut Recorder::disabled(),
+        false,
     )
     .expect("sharded bench run is launchable");
     assert!(

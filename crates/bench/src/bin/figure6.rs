@@ -18,8 +18,7 @@
 //! binary.
 
 use dgc_bench::{
-    default_workloads, device_by_name, run_figure6_panel_monitored_on, smoke_workloads,
-    THREAD_LIMITS,
+    default_workloads, device_by_name, run_figure6_panel, smoke_workloads, THREAD_LIMITS,
 };
 use dgc_monitor::{MonitorRegistry, MonitorWriter};
 use dgc_obs::MonitorSink;
@@ -95,8 +94,7 @@ fn main() {
     let mut measured = Vec::new();
     for tl in thread_limits {
         eprintln!("running panel: {} thread limit {tl} ...", spec.name);
-        let (panel, configs) =
-            run_figure6_panel_monitored_on(&spec, tl, &workloads, extended, monitor);
+        let (panel, configs) = run_figure6_panel(&spec, tl, &workloads, extended, monitor);
         println!("{}", panel.render());
         let (bench, peak) = panel.peak();
         println!("peak speedup @ TL {tl}: {peak:.1}x ({bench})\n");

@@ -17,8 +17,9 @@
 
 use dgc_bench::{default_workloads, smoke_workloads, MeasuredConfig, Workload};
 use dgc_core::EnsembleOptions;
+use dgc_fault::{run_ensemble_sharded_resilient_mem_aware, FaultPlan, RecoveryPolicy};
 use dgc_obs::Recorder;
-use dgc_sched::{run_ensemble_sharded, Placement};
+use dgc_sched::Placement;
 use gpu_arch::DeviceRegistry;
 use gpu_sim::DeviceFleet;
 
@@ -39,14 +40,22 @@ fn sweep_one(
         cycle_args: true,
         ..Default::default()
     };
-    let res = run_ensemble_sharded(
+    let no_recovery = RecoveryPolicy {
+        max_attempts: 1,
+        oom_split: false,
+        ..RecoveryPolicy::default()
+    };
+    let res = run_ensemble_sharded_resilient_mem_aware(
         &mut fleet,
         &workload.app(),
         std::slice::from_ref(&workload.args),
         &opts,
         0,
         placement,
+        &FaultPlan::default(),
+        &no_recovery,
         &mut Recorder::disabled(),
+        false,
     )
     .expect("sweep configurations are launchable");
     let oom = res.ensemble.instances.iter().any(|o| o.oom);
@@ -55,7 +64,11 @@ fn sweep_one(
         device: fleet_name.to_string(),
         thread_limit,
         instances,
-        time_s: if oom { None } else { Some(res.makespan_s()) },
+        time_s: if oom {
+            None
+        } else {
+            Some(res.ensemble.total_time_s)
+        },
         metrics: res.ensemble.metrics,
     }
 }

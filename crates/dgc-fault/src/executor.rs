@@ -1,19 +1,35 @@
-//! The sharded resilient driver: per-instance recovery across a fleet.
+//! The ensemble executor: rounds × live devices × capacity-capped chunks.
 //!
-//! Combines `dgc-sched`'s multi-device sharding with this crate's
-//! recovery loop, and adds the failure mode only a fleet can have: a
-//! **whole device dying** ([`crate::DeviceDeath`]). Each recovery round
-//! places the pending instances over the devices still alive; instances
-//! on a device that dies mid-round fail with a `device <d> died` trap and
-//! re-shard onto the survivors next round — a device death never consumes
-//! the instance's own retry budget, because the instance never ran.
+//! Every multi-launch run goes through [`run_ensemble_sharded_resilient_mem_aware`]:
+//! batched ensembles, recovery rounds, multi-device shards and
+//! memory-aware packing are configurations of one loop over
+//! [`run_ensemble_injected`], with one per-slot merge. A run without
+//! recovery passes an empty [`FaultPlan`] and `max_attempts: 1`.
 //!
-//! With one device and no device deaths the driver delegates to
-//! [`run_ensemble_resilient`], so `--devices 1` keeps its exact
-//! single-device recovery semantics.
+//! Each recovery round places the pending instances over the devices
+//! still alive; each device runs its shard in chunks of the current
+//! batch (capped by device capacity in memory-aware mode). Instances on
+//! a device that dies mid-round ([`crate::DeviceDeath`]) fail with a
+//! `device <d> died` trap and re-shard onto the survivors next round — a
+//! device death never consumes the instance's own retry budget, because
+//! the instance never ran. Lanes run one after another on the caller's
+//! thread.
+//!
+//! Two conventions follow from how the span graph replays time:
+//!
+//! * **One device with no device deaths** is a sequential timeline:
+//!   chunks record into the caller's [`Recorder`], push sequential graph
+//!   nodes, add their totals to `total_time_s` in turn and offset
+//!   instance end times by the kernel time accumulated before the chunk;
+//!   failed instances get `instance <g> failed` recovery markers.
+//! * **Any other fleet** runs concurrent lanes per round: per-device
+//!   recorders merge into the caller's under `dev<d> ` lane groups, each
+//!   lane is a concurrent graph node folded from zero and the round adds
+//!   its makespan; end times are offset by the round start plus the
+//!   lane's elapsed time, and `kernel_time_s` sums the lanes.
 
 use crate::plan::FaultPlan;
-use crate::resilient::{run_ensemble_resilient_mem_aware, RecoveryPolicy, RecoveryStats};
+use crate::policy::{skipped_metrics, RecoveryPolicy, RecoveryStats};
 use dgc_core::{
     ensure_arg_capacity, run_ensemble_injected, EnsembleError, EnsembleOptions, EnsembleResult,
     HeapUsage, HostApp, InstanceOutcome, LaunchFaults,
@@ -27,8 +43,8 @@ use gpu_sim::{DeviceFleet, SimReport};
 use host_rpc::{HostServices, RpcStats};
 use serde::Value;
 
-/// Result of a sharded resilient run: the merged ensemble result, the
-/// recovery story, and the fleet's fate.
+/// Result of an ensemble run: the merged ensemble result, the recovery
+/// story, and the fleet's fate.
 #[derive(Debug)]
 pub struct ShardedResilientResult {
     /// Final outcome per instance, in global instance order.
@@ -51,8 +67,10 @@ impl ShardedResilientResult {
         self.ensemble.all_succeeded()
     }
 
-    /// Launch rollup with both the recovery and the multi-device
-    /// (schema-v4) fields filled in.
+    /// Launch rollup with both the recovery (schema-v3) and the
+    /// multi-device (schema-v4) fields filled in. `failed`/`oom` count
+    /// failures cumulatively across attempts; `unrecovered` is what
+    /// survived recovery.
     pub fn launch_metrics(&self) -> LaunchMetrics {
         let mut lm = self.ensemble.launch_metrics();
         lm.kernel = self.kernel.clone();
@@ -71,39 +89,28 @@ impl ShardedResilientResult {
     }
 }
 
-/// Run an ensemble under fault injection across a fleet, with
-/// per-instance recovery and device-death re-sharding.
+/// Run an ensemble across `fleet` with fault injection, per-instance
+/// recovery, device-death re-sharding and optional memory-aware packing.
 ///
-/// Per round, pending instances are placed over the live devices by
-/// `placement` (re-consulting the pilot cost model for `greedy`/`lpt`),
-/// each device runs its shard in chunks of the current batch, and the
-/// round costs its **makespan** — the slowest device — plus any backoff.
-/// Device deaths from the plan remove the device: its instances for the
-/// round fail and re-queue without spending a retry attempt. If every
-/// device is dead while instances remain, the survivors-less remainder
-/// is marked unrecovered.
-#[allow(clippy::too_many_arguments)]
-pub fn run_ensemble_sharded_resilient(
-    fleet: &mut DeviceFleet,
-    app: &HostApp,
-    arg_lines: &[Vec<String>],
-    opts: &EnsembleOptions,
-    batch: u32,
-    placement: Placement,
-    plan: &FaultPlan,
-    policy: &RecoveryPolicy,
-    obs: &mut Recorder,
-) -> Result<ShardedResilientResult, EnsembleError> {
-    run_ensemble_sharded_resilient_mem_aware(
-        fleet, app, arg_lines, opts, batch, placement, plan, policy, obs, false,
-    )
-}
-
-/// [`run_ensemble_sharded_resilient`] with opt-in **memory-aware
-/// packing**: free-list heaps on every device, pilot peaks capping both
-/// placement ([`dgc_sched::Placement::assign_mem_aware`]) and per-device
-/// chunk sizes ([`mem_cap_take`]), with the OOM-halving backstop still
-/// armed. With `mem_aware` off this is exactly the legacy driver.
+/// `batch` bounds the concurrent instances per kernel (`0` = all
+/// pending). Failed instances are retried in follow-up rounds, up to
+/// [`RecoveryPolicy::max_attempts`] launches each, with (optionally
+/// jittered) exponential backoff between rounds; after a round with
+/// device OOMs the batch halves ([`RecoveryPolicy::oom_split`]), and
+/// [`RecoveryPolicy::fail_fast`] abandons all remaining work once one
+/// instance exhausts its attempts. Instances that exit non-zero are
+/// *not* retried — a deterministic application result is not a fault.
+/// If every device is dead while instances remain, the remainder is
+/// marked unrecovered.
+///
+/// Pilot runs ([`InstanceCosts::estimate`], once, on device 0's spec)
+/// happen only in memory-aware mode or when a fleet of several devices
+/// is placed by `greedy`/`lpt`. With `mem_aware` on, every device heap
+/// switches to the per-team free-list allocator, placement refuses
+/// shards whose summed pilot peaks overflow a device
+/// ([`Placement::assign_mem_aware`]) and each chunk is capped at the
+/// longest prefix that fits ([`mem_cap_take`]); the OOM-halving backstop
+/// stays armed for footprints the pilots under-predicted.
 #[allow(clippy::too_many_arguments)]
 pub fn run_ensemble_sharded_resilient_mem_aware(
     fleet: &mut DeviceFleet,
@@ -117,64 +124,24 @@ pub fn run_ensemble_sharded_resilient_mem_aware(
     obs: &mut Recorder,
     mem_aware: bool,
 ) -> Result<ShardedResilientResult, EnsembleError> {
-    assert!(!fleet.is_empty(), "sharding needs at least one device");
+    assert!(!fleet.is_empty(), "an ensemble needs at least one device");
     assert!(policy.max_attempts >= 1, "max_attempts must be at least 1");
     let m = fleet.len();
     let n = opts.num_instances.max(1);
+    ensure_arg_capacity(arg_lines, n, opts.cycle_args)?;
     let no_deaths = plan.device_deaths.as_deref().unwrap_or_default().is_empty();
+    let sequential = m == 1 && no_deaths;
     if mem_aware {
         for d in 0..m {
             fleet.gpu_mut(d).mem.set_free_lists(true);
         }
     }
-
-    if m == 1 && no_deaths {
-        // Single healthy device: exact single-device recovery semantics
-        // (memory-aware mode hands its pilot costs down).
-        let costs = if mem_aware {
-            ensure_arg_capacity(arg_lines, n, opts.cycle_args)?;
-            let lines_of: Vec<Vec<String>> = (0..n)
-                .map(|i| arg_lines[i as usize % arg_lines.len()].clone())
-                .collect();
-            Some(InstanceCosts::estimate(
-                app,
-                &lines_of,
-                opts,
-                fleet.spec(0),
-            )?)
-        } else {
-            None
-        };
-        let res = run_ensemble_resilient_mem_aware(
-            fleet.gpu_mut(0),
-            app,
-            arg_lines,
-            opts,
-            batch,
-            plan,
-            policy,
-            obs,
-            costs.as_ref(),
-        )?;
-        let total = res.ensemble.total_time_s;
-        return Ok(ShardedResilientResult {
-            ensemble: res.ensemble,
-            recovery: res.recovery,
-            devices: 1,
-            placement,
-            dead_devices: Vec::new(),
-            per_device_time_s: vec![total],
-            kernel: format!("{}-x{}", app.name, n),
-        });
-    }
-
-    ensure_arg_capacity(arg_lines, n, opts.cycle_args)?;
+    // Resolve cycling up front: line `g` belongs to instance `g` no
+    // matter which device or chunk it lands in.
     let lines_of: Vec<Vec<String>> = (0..n)
         .map(|i| arg_lines[i as usize % arg_lines.len()].clone())
         .collect();
-    // Pilot costs once, on device 0's spec; re-used every round.
-    // Memory-aware mode always needs them for the peak footprints.
-    let costs = if placement.needs_costs() || mem_aware {
+    let costs = if mem_aware || (m > 1 && placement.needs_costs()) {
         Some(InstanceCosts::estimate(
             app,
             &lines_of,
@@ -209,18 +176,27 @@ pub fn run_ensemble_sharded_resilient_mem_aware(
     let mut last_report = None;
     let base_us = obs.base_us();
     let traced = obs.is_enabled();
-    // Driver-level monitor events. Per-device launch events flow through
-    // the per-device recorders below, re-stamped with the device ordinal
-    // by [`DeviceStamped`]. Pure observation.
+    // Driver-level monitor events (retries, recoveries, OOM splits,
+    // backoff, deaths) layer on top of the per-launch events the engine
+    // streams through the same sink; fleet lanes re-stamp them with the
+    // device ordinal via [`DeviceStamped`]. Pure observation.
     let monitor = obs.monitor().cloned();
 
     let mut pending: Vec<u32> = (0..n).collect();
     let mut attempt = 0u32;
+    let mut aborted = false;
 
-    while !pending.is_empty() {
+    while !pending.is_empty() && !aborted {
         stats.attempts = attempt + 1;
         if attempt > 0 {
-            let wait = policy.backoff_wait_s(attempt);
+            // Exponential backoff in simulated time before the round.
+            // Under the opt-in jitter each pending instance runs its own
+            // de-synchronized timer; the shared retry launch fires when
+            // the last of them does, so the round waits for the max.
+            let wait = pending
+                .iter()
+                .map(|&g| policy.backoff_wait_jittered_s(attempt, g))
+                .fold(0.0, f64::max);
             total_time_s += wait;
             stats.backoff_s += wait;
             if let Some(m) = &monitor {
@@ -257,8 +233,7 @@ pub fn run_ensemble_sharded_resilient_mem_aware(
                 });
                 slot_end[g as usize] = total_time_s;
                 if slot_metrics[g as usize].is_none() {
-                    slot_metrics[g as usize] =
-                        Some(crate::resilient::skipped_metrics(g, total_time_s));
+                    slot_metrics[g as usize] = Some(skipped_metrics(g, total_time_s));
                 }
             }
             pending.clear();
@@ -266,33 +241,35 @@ pub fn run_ensemble_sharded_resilient_mem_aware(
         }
 
         // Memory caps only bind in memory-aware mode; an empty slice
-        // keeps the legacy assignment bit-identical.
+        // keeps the memory-blind assignment.
         let caps_live: Vec<u64> = if mem_aware {
             live.iter().map(|&d| caps_all[d]).collect()
         } else {
             Vec::new()
         };
-        let assignment = {
-            let pend = &pending;
-            match &costs {
-                Some(c) => placement.assign_mem_aware(
-                    pend.len() as u32,
-                    live.len(),
-                    |j, k| c.cost_on(pend[j as usize], fleet.spec(live[k])),
-                    |j| c.peak_mem_bytes(pend[j as usize]),
-                    &caps_live,
-                ),
-                None => placement.assign(pend.len() as u32, live.len(), |_, _| 0.0),
-            }
+        let assignment = match &costs {
+            Some(c) => placement.assign_mem_aware(
+                pending.len() as u32,
+                live.len(),
+                |j, k| c.cost_on(pending[j as usize], fleet.spec(live[k])),
+                |j| c.peak_mem_bytes(pending[j as usize]),
+                &caps_live,
+            ),
+            None => placement.assign(pending.len() as u32, live.len(), |_, _| 0.0),
         };
 
         let mut next_pending: Vec<u32> = Vec::new();
+        let mut skipped: Vec<u32> = Vec::new();
         let mut round_oom = false;
         let mut round_makespan = 0.0f64;
 
         for (k, shard_idx) in assignment.iter().enumerate() {
             let d = live[k];
             let shard: Vec<u32> = shard_idx.iter().map(|&j| pending[j as usize]).collect();
+            if aborted {
+                skipped.extend(&shard);
+                continue;
+            }
 
             if plan.device_dies_at(d as u32, attempt) {
                 // The whole device is gone mid-round: every placed
@@ -325,8 +302,7 @@ pub fn run_ensemble_sharded_resilient_mem_aware(
                     });
                     slot_end[g as usize] = total_time_s;
                     if slot_metrics[g as usize].is_none() {
-                        slot_metrics[g as usize] =
-                            Some(crate::resilient::skipped_metrics(g, total_time_s));
+                        slot_metrics[g as usize] = Some(skipped_metrics(g, total_time_s));
                     }
                     if let Some(m) = &monitor {
                         m.retry_scheduled(d as u32);
@@ -339,31 +315,37 @@ pub fn run_ensemble_sharded_resilient_mem_aware(
                 continue;
             }
 
-            // Run this device's shard in chunks of the current batch.
-            let mut rec = if traced {
-                Recorder::enabled()
-            } else {
-                Recorder::disabled()
+            // A sequential run records straight into the caller's
+            // recorder; a fleet lane records privately and merges below.
+            let mut lane_obs = (!sequential).then(|| {
+                let mut rec = if traced {
+                    Recorder::enabled()
+                } else {
+                    Recorder::disabled()
+                };
+                if let Some(m) = &monitor {
+                    rec.set_monitor(DeviceStamped::stamp(m.clone(), d as u32));
+                }
+                rec
+            });
+            let rec = match lane_obs.as_mut() {
+                Some(lane) => lane,
+                None => &mut *obs,
             };
-            if let Some(m) = &monitor {
-                rec.set_monitor(DeviceStamped::stamp(m.clone(), d as u32));
-            }
-            let mut device_elapsed = 0.0f64;
-            let mut device_kernel = 0.0f64;
+            let mut lane_elapsed = 0.0f64;
+            let mut lane_kernel = 0.0f64;
             let mut qi = 0usize;
-            while qi < shard.len() {
-                let take = {
-                    let want = (current_batch as usize).min(shard.len() - qi);
-                    match (&costs, mem_aware) {
-                        (Some(c), true) => {
-                            let peaks: Vec<u64> = shard[qi..qi + want]
-                                .iter()
-                                .map(|&g| c.peak_mem_bytes(g))
-                                .collect();
-                            mem_cap_take(&peaks, caps_all[d], want)
-                        }
-                        _ => want,
+            while qi < shard.len() && !aborted {
+                let want = (current_batch as usize).min(shard.len() - qi);
+                let take = match &costs {
+                    Some(c) if mem_aware => {
+                        let peaks: Vec<u64> = shard[qi..qi + want]
+                            .iter()
+                            .map(|&g| c.peak_mem_bytes(g))
+                            .collect();
+                        mem_cap_take(&peaks, caps_all[d], want)
                     }
+                    _ => want,
                 };
                 let chunk: Vec<u32> = shard[qi..qi + take].to_vec();
                 qi += chunk.len();
@@ -386,33 +368,40 @@ pub fn run_ensemble_sharded_resilient_mem_aware(
                     rpc_fault: plan.rpc_hook(attempt, &chunk),
                     cycle_budget: policy.instance_cycle_budget,
                 };
-                rec.set_base_us(base_us + (total_time_s + device_elapsed) * 1e6);
+                // Where the chunk starts on the run's timeline, and the
+                // offset its instance end times take.
+                let (start_s, end_offset_s) = if sequential {
+                    (total_time_s, kernel_time_s)
+                } else {
+                    let start_s = total_time_s + lane_elapsed;
+                    (start_s, start_s)
+                };
+                rec.set_base_us(base_us + start_s * 1e6);
                 let res = run_ensemble_injected(
                     fleet.gpu_mut(d),
                     app,
                     &chunk_lines,
                     &chunk_opts,
                     HostServices::default(),
-                    &mut rec,
+                    rec,
                     faults,
                 )?;
 
                 for (li, &g) in chunk.iter().enumerate() {
-                    slot_end[g as usize] =
-                        total_time_s + device_elapsed + res.instance_end_times_s[li];
+                    slot_end[g as usize] = end_offset_s + res.instance_end_times_s[li];
                 }
                 for (li, mut mi) in res.metrics.into_iter().enumerate() {
                     let g = chunk[li];
                     mi.instance = g;
-                    mi.end_time_s += total_time_s + device_elapsed;
+                    mi.end_time_s += end_offset_s;
                     mi.attempt = attempt;
                     mi.device = d as u32;
                     slot_metrics[g as usize] = Some(mi);
                 }
+                let mut chunk_failures = Vec::new();
                 for (li, out) in res.instances.iter().enumerate() {
                     let g = chunk[li];
                     let failed = !out.succeeded();
-                    let retryable = out.error.is_some();
                     if failed {
                         stats.failures += 1;
                         failed_once[g as usize] = true;
@@ -431,53 +420,106 @@ pub fn run_ensemble_sharded_resilient_mem_aware(
                         }
                     }
                     slot_outcome[g as usize] = Some(out.clone());
-                    if retryable && attempt + 1 < policy.max_attempts {
-                        next_pending.push(g);
-                        was_retried[g as usize] = true;
-                        if let Some(m) = &monitor {
-                            m.retry_scheduled(d as u32);
+                    if out.error.is_some() {
+                        chunk_failures.push(g);
+                        if attempt + 1 < policy.max_attempts {
+                            next_pending.push(g);
+                            was_retried[g as usize] = true;
+                            if let Some(m) = &monitor {
+                                m.retry_scheduled(d as u32);
+                            }
+                        } else if policy.fail_fast {
+                            aborted = true;
                         }
                     }
                 }
                 for (li, s) in res.stdout.into_iter().enumerate() {
                     slot_stdout[chunk[li] as usize] = s;
                 }
-                // The chunk's series lands after the elapsed rounds plus
-                // this device's earlier chunks, stamped with the device —
-                // the same frame as the recorder base shift above.
+                // The chunk's utilization series and span graph land on
+                // the run's timeline in lockstep with the recorder base
+                // shift above, renumbered to global instance ids.
                 let mut chunk_tl = res.timeline;
-                chunk_tl.shift_us((total_time_s + device_elapsed) * 1e6);
-                chunk_tl.set_device(d as u32);
-                timeline.merge(chunk_tl);
-                // Span graph: this round's launches run concurrently
-                // across device lanes — the round costs its slowest lane,
-                // and replay folds each lane's `total_s` from zero
-                // exactly like `device_elapsed` below.
+                chunk_tl.shift_us(start_s * 1e6);
                 let mut chunk_graph = res.graph;
                 chunk_graph.stamp_round(attempt);
-                chunk_graph.stamp_device(d as u32, true);
-                chunk_graph.shift_start_s(total_time_s + device_elapsed);
+                if !sequential {
+                    chunk_tl.set_device(d as u32);
+                    chunk_graph.stamp_device(d as u32, true);
+                }
+                chunk_graph.shift_start_s(start_s);
                 chunk_graph.remap_instances(&chunk);
+                timeline.merge(chunk_tl);
                 graph.merge(chunk_graph);
-                device_elapsed += res.total_time_s;
-                device_kernel += res.kernel_time_s;
+                if sequential {
+                    kernel_time_s += res.kernel_time_s;
+                    total_time_s += res.total_time_s;
+                } else {
+                    lane_elapsed += res.total_time_s;
+                    lane_kernel += res.kernel_time_s;
+                }
                 rpc_stats.merge(&res.rpc_stats);
                 let chunk_peak = res.heap.peak_bytes.iter().copied().max().unwrap_or(0);
                 heap.peak_bytes[d] = heap.peak_bytes[d].max(chunk_peak);
                 heap.fragmentation = heap.fragmentation.max(res.heap.fragmentation);
                 heap.alloc_fallbacks += res.heap.alloc_fallbacks;
                 last_report = Some(res.report);
+
+                // Recovery markers on a sequential timeline, only when
+                // something actually failed.
+                if sequential && !chunk_failures.is_empty() && traced {
+                    rec.set_base_us(base_us);
+                    for &g in &chunk_failures {
+                        rec.instant_args(
+                            PID_HOST,
+                            0,
+                            &format!("instance {g} failed"),
+                            "recovery",
+                            total_time_s * 1e6,
+                            vec![("attempt".into(), Value::U64(attempt as u64))],
+                        );
+                    }
+                }
             }
-            per_device_time_s[d] += device_elapsed;
-            kernel_time_s += device_kernel;
-            round_makespan = round_makespan.max(device_elapsed);
-            if traced {
-                obs.merge_shifted(&rec, d as u32 * DEVICE_PID_STRIDE, &format!("dev{d} "));
+            skipped.extend(&shard[qi..]);
+            if let Some(lane) = &lane_obs {
+                per_device_time_s[d] += lane_elapsed;
+                kernel_time_s += lane_kernel;
+                round_makespan = round_makespan.max(lane_elapsed);
+                if traced {
+                    obs.merge_shifted(lane, d as u32 * DEVICE_PID_STRIDE, &format!("dev{d} "));
+                }
             }
         }
+        if !sequential {
+            total_time_s += round_makespan;
+        }
 
-        total_time_s += round_makespan;
+        if aborted {
+            // fail-fast: everything not yet final is abandoned.
+            let end_s = if sequential {
+                kernel_time_s
+            } else {
+                total_time_s
+            };
+            for &g in next_pending.iter().chain(&skipped) {
+                slot_outcome[g as usize] = Some(InstanceOutcome {
+                    exit_code: None,
+                    error: Some("skipped: fail-fast".into()),
+                    oom: false,
+                    timed_out: false,
+                });
+                slot_end[g as usize] = end_s;
+                if slot_metrics[g as usize].is_none() {
+                    slot_metrics[g as usize] = Some(skipped_metrics(g, end_s));
+                }
+                stats.skipped += 1;
+            }
+            next_pending.clear();
+        }
         if round_oom && policy.oom_split && current_batch > 1 {
+            // Graceful degradation: the memory wall halves concurrency
+            // instead of ending the run.
             current_batch = (current_batch / 2).max(1);
             stats.oom_splits += 1;
             if let Some(m) = &monitor {
@@ -499,6 +541,9 @@ pub fn run_ensemble_sharded_resilient_mem_aware(
         attempt += 1;
     }
     obs.set_base_us(base_us);
+    if sequential {
+        per_device_time_s[0] = total_time_s;
+    }
 
     stats.retried = was_retried.iter().filter(|&&r| r).count() as u32;
     stats.final_batch = current_batch;
@@ -515,8 +560,9 @@ pub fn run_ensemble_sharded_resilient_mem_aware(
     // If every device died before anything launched, no report exists;
     // an all-zero one keeps the result well-formed (every instance is
     // already marked unrecovered).
+    let kernel = format!("{}-x{}", app.name, n);
     let report = last_report.unwrap_or_else(|| SimReport {
-        kernel_name: format!("{}-x{}", app.name, n),
+        kernel_name: kernel.clone(),
         kernel_cycles: 0.0,
         sim_time_s: 0.0,
         blocks: 0,
@@ -556,6 +602,6 @@ pub fn run_ensemble_sharded_resilient_mem_aware(
         placement,
         dead_devices,
         per_device_time_s,
-        kernel: format!("{}-x{}", app.name, n),
+        kernel,
     })
 }

@@ -1,4 +1,4 @@
-//! Fault injection and recovery for ensemble execution.
+//! Fault injection, recovery and the ensemble executor.
 //!
 //! The paper's ensemble loader packs `NI` application instances into one
 //! kernel — which also packs `NI` failure domains into one launch: a trap,
@@ -9,29 +9,26 @@
 //! * [`FaultPlan`] — a seeded, JSON-serializable description of what to
 //!   break: per-team traps, forced device OOM above a concurrency
 //!   threshold (the §4.3 Page-Rank memory wall, reproducible on demand),
-//!   hung instances, failed or corrupted RPC round trips. The same plan
-//!   against the same workload replays bit-for-bit; an *empty* plan is
-//!   pure bookkeeping and perturbs nothing.
-//! * [`run_ensemble_resilient`] — the recovery driver around the batched
-//!   ensemble path: failed instances re-launch in follow-up kernels with
-//!   exponential backoff in simulated time, device OOM halves the
-//!   concurrent batch ([`RecoveryPolicy::oom_split`]) so the memory wall
-//!   degrades throughput instead of ending the run, and a watchdog cycle
-//!   budget reaps hung instances without killing their launch.
-//! * [`RecoveryStats`] / [`ResilientResult::launch_metrics`] — the
+//!   hung instances, failed or corrupted RPC round trips, whole devices
+//!   dying. The same plan against the same workload replays bit-for-bit;
+//!   an *empty* plan is pure bookkeeping and perturbs nothing.
+//! * [`run_ensemble_sharded_resilient_mem_aware`] — the one multi-launch
+//!   executor: recovery rounds × live devices × capacity-capped chunks.
+//!   Failed instances re-launch in follow-up rounds with exponential
+//!   backoff in simulated time, device OOM halves the concurrent batch
+//!   ([`RecoveryPolicy::oom_split`]), a watchdog cycle budget reaps hung
+//!   instances without killing their launch, and dead devices re-shard
+//!   their instances onto the survivors. Batched and multi-device runs
+//!   without recovery are the same call with an empty plan and
+//!   `max_attempts: 1`.
+//! * [`RecoveryStats`] / [`ShardedResilientResult::launch_metrics`] — the
 //!   recovery story (attempts, retries, recoveries, splits, backoff)
-//!   rolled into the schema-v3 metrics record and the Chrome trace.
+//!   rolled into the metrics record and the Chrome trace.
 
+mod executor;
 mod plan;
-mod resilient;
-mod sharded;
+mod policy;
 
+pub use executor::{run_ensemble_sharded_resilient_mem_aware, ShardedResilientResult};
 pub use plan::{DeviceDeath, FaultKind, FaultPlan, FaultSpec};
-pub use resilient::{
-    run_ensemble_resilient, run_ensemble_resilient_mem_aware, RecoveryPolicy, RecoveryStats,
-    ResilientResult,
-};
-pub use sharded::{
-    run_ensemble_sharded_resilient, run_ensemble_sharded_resilient_mem_aware,
-    ShardedResilientResult,
-};
+pub use policy::{RecoveryPolicy, RecoveryStats};

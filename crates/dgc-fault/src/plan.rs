@@ -20,7 +20,7 @@ pub enum FaultKind {
     /// The matched team traps with a device out-of-memory — but only
     /// while at least `min_concurrent` instances share the kernel.
     /// Models the paper's Page-Rank memory wall as a *recoverable*
-    /// event: once the resilient driver halves the batch below the
+    /// event: once the executor halves the batch below the
     /// threshold, the instances fit and complete.
     DeviceOom {
         min_concurrent: u32,

@@ -1,102 +1,21 @@
-//! Property tests for the resilient driver: empty-plan bit-identity with
-//! the batched path, and seed-for-seed determinism of recovery.
+//! Property tests for the executor's recovery: seed-for-seed
+//! determinism. (Its empty-plan bit-identity with the drivers it
+//! replaced is pinned by `results/driver_oracle.jsonl`; see `oracle.rs`.)
 
-use device_libc::dl_printf;
-use dgc_core::{run_ensemble_batched, AppContext, EnsembleOptions, HostApp};
-use dgc_fault::{run_ensemble_resilient, FaultPlan, RecoveryPolicy};
+mod common;
+
+use common::*;
+use dgc_fault::{run_ensemble_sharded_resilient_mem_aware, FaultPlan, RecoveryPolicy};
 use dgc_obs::Recorder;
-use gpu_sim::{Gpu, KernelError, TeamCtx};
+use dgc_sched::Placement;
 use proptest::prelude::*;
-
-const MODULE: &str = r#"
-module "bench" {
-  func @main arity=2 calls(@printf, @malloc, @atoi)
-  extern func @printf variadic
-  extern func @malloc
-  extern func @atoi
-}
-"#;
-
-fn stream_main(team: &mut TeamCtx<'_>, cx: &AppContext) -> Result<i32, KernelError> {
-    let n: u64 = cx
-        .argv
-        .iter()
-        .position(|a| a == "-n")
-        .and_then(|p| cx.argv.get(p + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
-    let buf = team.serial("alloc", |lane| lane.dev_alloc(8 * n))?;
-    team.parallel_for("init", n, |i, lane| lane.st_idx::<f64>(buf, i, i as f64))?;
-    let sum = team.parallel_for_reduce_f64("sum", n, |i, lane| lane.ld_idx::<f64>(buf, i))?;
-    let instance = cx.instance;
-    team.serial("print", |lane| {
-        dl_printf(
-            lane,
-            "instance %d sum %.1f\n",
-            &[instance.into(), sum.into()],
-        )?;
-        Ok(())
-    })?;
-    Ok(0)
-}
-
-fn app() -> HostApp {
-    HostApp::new("bench", MODULE, stream_main)
-}
 
 fn lines() -> Vec<Vec<String>> {
     dgc_core::parse_arg_file("-n 60\n-n 120\n-n 40\n").unwrap()
 }
 
-fn opts(n: u32) -> EnsembleOptions {
-    EnsembleOptions {
-        cycle_args: true,
-        num_instances: n,
-        thread_limit: 32,
-        ..Default::default()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// With an empty fault plan the resilient driver is pure bookkeeping:
-    /// every result field — times, end times, stalls, metrics — is
-    /// bit-identical to `run_ensemble_batched`, for any instance count
-    /// and batch size (including the unbatched `n <= batch` shortcut).
-    #[test]
-    fn empty_plan_is_bit_identical_to_batched(n in 1u32..7, batch in 1u32..5) {
-        let arg_lines = lines();
-        let mut gpu = Gpu::a100();
-        let baseline =
-            run_ensemble_batched(&mut gpu, &app(), &arg_lines, &opts(n), batch).unwrap();
-        let mut gpu = Gpu::a100();
-        let r = run_ensemble_resilient(
-            &mut gpu,
-            &app(),
-            &arg_lines,
-            &opts(n),
-            batch,
-            &FaultPlan::default(),
-            &RecoveryPolicy::default(),
-            &mut Recorder::disabled(),
-        )
-        .unwrap();
-        prop_assert_eq!(&r.ensemble.instances, &baseline.instances);
-        prop_assert_eq!(&r.ensemble.stdout, &baseline.stdout);
-        prop_assert_eq!(&r.ensemble.report, &baseline.report);
-        prop_assert_eq!(r.ensemble.kernel_time_s, baseline.kernel_time_s);
-        prop_assert_eq!(r.ensemble.total_time_s, baseline.total_time_s);
-        prop_assert_eq!(
-            &r.ensemble.instance_end_times_s,
-            &baseline.instance_end_times_s
-        );
-        prop_assert_eq!(&r.ensemble.metrics, &baseline.metrics);
-        prop_assert_eq!(r.ensemble.rpc_stats, baseline.rpc_stats);
-        prop_assert_eq!(r.recovery.attempts, 1);
-        prop_assert_eq!(r.recovery.failures, 0);
-        prop_assert_eq!(r.recovery.backoff_s, 0.0);
-    }
 
     /// Same seed, same plan ⇒ identical retry schedule, outcomes, and
     /// metrics — recovery is replayable.
@@ -105,17 +24,8 @@ proptest! {
         let plan = FaultPlan::scatter_traps(seed, 6, 2);
         prop_assert_eq!(plan.faults.len(), 2);
         let run = || {
-            let mut gpu = Gpu::a100();
-            run_ensemble_resilient(
-                &mut gpu,
-                &app(),
-                &lines(),
-                &opts(6),
-                batch,
-                &plan,
-                &RecoveryPolicy::default(),
-                &mut Recorder::disabled(),
-            )
+            let mut fleet = one_a100();
+            run_ensemble_sharded_resilient_mem_aware(&mut fleet, &app(), &lines(), &opts(6), batch, Placement::RoundRobin, &plan, &RecoveryPolicy::default(), &mut Recorder::disabled(), false)
             .unwrap()
         };
         let a = run();

@@ -2,60 +2,19 @@
 //! split (the paper's §4.3 memory wall as a recoverable event), watchdog
 //! timeouts, RPC corruption, and fail-fast.
 
-use device_libc::dl_printf;
-use dgc_core::{run_ensemble_batched_traced, AppContext, EnsembleOptions, HostApp};
-use dgc_fault::{run_ensemble_resilient, FaultKind, FaultPlan, FaultSpec, RecoveryPolicy};
+mod common;
+
+use common::*;
+use dgc_core::{AppContext, HostApp};
+use dgc_fault::{
+    run_ensemble_sharded_resilient_mem_aware, FaultKind, FaultPlan, FaultSpec, RecoveryPolicy,
+};
 use dgc_obs::Recorder;
-use gpu_sim::{Gpu, KernelError, TeamCtx};
-
-const MODULE: &str = r#"
-module "bench" {
-  func @main arity=2 calls(@printf, @malloc, @atoi)
-  extern func @printf variadic
-  extern func @malloc
-  extern func @atoi
-}
-"#;
-
-/// Streams `n` doubles (from `-n <n>`), prints a digest.
-fn stream_main(team: &mut TeamCtx<'_>, cx: &AppContext) -> Result<i32, KernelError> {
-    let n: u64 = cx
-        .argv
-        .iter()
-        .position(|a| a == "-n")
-        .and_then(|p| cx.argv.get(p + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1000);
-    let buf = team.serial("alloc", |lane| lane.dev_alloc(8 * n))?;
-    team.parallel_for("init", n, |i, lane| lane.st_idx::<f64>(buf, i, i as f64))?;
-    let sum = team.parallel_for_reduce_f64("sum", n, |i, lane| lane.ld_idx::<f64>(buf, i))?;
-    let instance = cx.instance;
-    team.serial("print", |lane| {
-        dl_printf(
-            lane,
-            "instance %d sum %.1f\n",
-            &[instance.into(), sum.into()],
-        )?;
-        Ok(())
-    })?;
-    Ok(0)
-}
-
-fn app() -> HostApp {
-    HostApp::new("bench", MODULE, stream_main)
-}
+use dgc_sched::Placement;
+use gpu_sim::{KernelError, TeamCtx};
 
 fn lines(text: &str) -> Vec<Vec<String>> {
     dgc_core::parse_arg_file(text).unwrap()
-}
-
-fn opts(n: u32) -> EnsembleOptions {
-    EnsembleOptions {
-        cycle_args: true,
-        num_instances: n,
-        thread_limit: 32,
-        ..Default::default()
-    }
 }
 
 fn trap_on(instance: u32, attempt: Option<u32>) -> FaultPlan {
@@ -74,16 +33,18 @@ fn trap_on(instance: u32, attempt: Option<u32>) -> FaultPlan {
 
 #[test]
 fn first_attempt_trap_recovers_on_retry() {
-    let mut gpu = Gpu::a100();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let mut fleet = one_a100();
+    let r = run_ensemble_sharded_resilient_mem_aware(
+        &mut fleet,
         &app(),
         &lines("-n 100\n-n 200\n"),
         &opts(4),
         0,
+        Placement::RoundRobin,
         &trap_on(2, Some(0)),
         &RecoveryPolicy::default(),
         &mut Recorder::disabled(),
+        false,
     )
     .unwrap();
     assert!(r.all_succeeded(), "{:?}", r.ensemble.instances);
@@ -103,24 +64,26 @@ fn first_attempt_trap_recovers_on_retry() {
     assert_eq!((lm.failed, lm.unrecovered), (1, 0));
     assert_eq!((lm.attempts, lm.retried, lm.recovered), (2, 1, 1));
     assert_eq!(lm.kernel, "bench-x4");
-    assert_eq!(gpu.mem.stats().live_allocations, 0);
+    assert_eq!(fleet.gpu(0).mem.stats().live_allocations, 0);
 }
 
 #[test]
 fn every_attempt_trap_exhausts_and_stays_failed() {
-    let mut gpu = Gpu::a100();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let mut fleet = one_a100();
+    let r = run_ensemble_sharded_resilient_mem_aware(
+        &mut fleet,
         &app(),
         &lines("-n 100\n"),
         &opts(3),
         0,
+        Placement::RoundRobin,
         &trap_on(1, None),
         &RecoveryPolicy {
             max_attempts: 2,
             ..Default::default()
         },
         &mut Recorder::disabled(),
+        false,
     )
     .unwrap();
     assert!(!r.all_succeeded());
@@ -152,17 +115,19 @@ fn device_oom_splits_the_batch_and_completes_all_instances() {
             },
         }],
     };
-    let mut gpu = Gpu::a100();
+    let mut fleet = one_a100();
     let mut obs = Recorder::enabled();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let r = run_ensemble_sharded_resilient_mem_aware(
+        &mut fleet,
         &app(),
         &lines("-n 100\n"),
         &opts(8),
         0,
+        Placement::RoundRobin,
         &plan,
         &RecoveryPolicy::default(),
         &mut obs,
+        false,
     )
     .unwrap();
     assert!(r.all_succeeded(), "{:?}", r.ensemble.instances);
@@ -192,7 +157,7 @@ fn device_oom_splits_the_batch_and_completes_all_instances() {
     );
     assert!(recovery.contains(&"batch split to 4"), "{recovery:?}");
     assert!(recovery.contains(&"retry round 1"), "{recovery:?}");
-    assert_eq!(gpu.mem.stats().live_allocations, 0);
+    assert_eq!(fleet.gpu(0).mem.stats().live_allocations, 0);
 }
 
 #[test]
@@ -206,26 +171,28 @@ fn hung_instance_times_out_and_recovers() {
             kind: FaultKind::Hang { stall_cycles: 1e9 },
         }],
     };
-    let mut gpu = Gpu::a100();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let mut fleet = one_a100();
+    let r = run_ensemble_sharded_resilient_mem_aware(
+        &mut fleet,
         &app(),
         &lines("-n 100\n"),
         &opts(3),
         0,
+        Placement::RoundRobin,
         &plan,
         &RecoveryPolicy {
             instance_cycle_budget: Some(1e6),
             ..Default::default()
         },
         &mut Recorder::disabled(),
+        false,
     )
     .unwrap();
     assert!(r.all_succeeded(), "{:?}", r.ensemble.instances);
     assert_eq!(r.recovery.timeouts, 1);
     assert_eq!(r.recovery.recovered, 1);
     // The watchdog reaped the hang instead of simulating 1e9 cycles.
-    assert!(r.ensemble.kernel_time_s < gpu.spec.cycles_to_seconds(1e8));
+    assert!(r.ensemble.kernel_time_s < fleet.spec(0).cycles_to_seconds(1e8));
 }
 
 #[test]
@@ -239,16 +206,18 @@ fn corrupted_rpc_reply_traps_then_recovers() {
             kind: FaultKind::RpcCorrupt { after_calls: 0 },
         }],
     };
-    let mut gpu = Gpu::a100();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let mut fleet = one_a100();
+    let r = run_ensemble_sharded_resilient_mem_aware(
+        &mut fleet,
         &app(),
         &lines("-n 100\n-n 200\n"),
         &opts(2),
         0,
+        Placement::RoundRobin,
         &plan,
         &RecoveryPolicy::default(),
         &mut Recorder::disabled(),
+        false,
     )
     .unwrap();
     // The corrupted printf reply trapped instance 0 on attempt 0; the
@@ -274,19 +243,21 @@ fn injected_rpc_failure_is_a_typed_host_error() {
             kind: FaultKind::RpcFail { after_calls: 0 },
         }],
     };
-    let mut gpu = Gpu::a100();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let mut fleet = one_a100();
+    let r = run_ensemble_sharded_resilient_mem_aware(
+        &mut fleet,
         &app(),
         &lines("-n 100\n"),
         &opts(1),
         0,
+        Placement::RoundRobin,
         &plan,
         &RecoveryPolicy {
             max_attempts: 1,
             ..Default::default()
         },
         &mut Recorder::disabled(),
+        false,
     )
     .unwrap();
     let err = r.ensemble.instances[0].error.as_deref().unwrap();
@@ -298,13 +269,14 @@ fn injected_rpc_failure_is_a_typed_host_error() {
 
 #[test]
 fn fail_fast_skips_remaining_work() {
-    let mut gpu = Gpu::a100();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let mut fleet = one_a100();
+    let r = run_ensemble_sharded_resilient_mem_aware(
+        &mut fleet,
         &app(),
         &lines("-n 100\n"),
         &opts(4),
         1,
+        Placement::RoundRobin,
         &trap_on(0, None),
         &RecoveryPolicy {
             max_attempts: 1,
@@ -312,6 +284,7 @@ fn fail_fast_skips_remaining_work() {
             ..Default::default()
         },
         &mut Recorder::disabled(),
+        false,
     )
     .unwrap();
     // Instance 0 exhausts its single attempt in the first chunk; the
@@ -333,16 +306,18 @@ fn nonzero_exit_is_not_retried() {
         Ok(if cx.instance == 1 { 3 } else { 0 })
     }
     let a = HostApp::new("bench", MODULE, exit_main);
-    let mut gpu = Gpu::a100();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let mut fleet = one_a100();
+    let r = run_ensemble_sharded_resilient_mem_aware(
+        &mut fleet,
         &a,
         &lines("-x\n"),
         &opts(2),
         0,
+        Placement::RoundRobin,
         &FaultPlan::default(),
         &RecoveryPolicy::default(),
         &mut Recorder::disabled(),
+        false,
     )
     .unwrap();
     // A deterministic application result is not a fault: one round only,
@@ -358,16 +333,18 @@ fn nonzero_exit_is_not_retried() {
 fn batched_and_unbatched_recovery_agree_under_a_trap() {
     let plan = trap_on(3, Some(0));
     let run = |batch| {
-        let mut gpu = Gpu::a100();
-        run_ensemble_resilient(
-            &mut gpu,
+        let mut fleet = one_a100();
+        run_ensemble_sharded_resilient_mem_aware(
+            &mut fleet,
             &app(),
             &lines("-n 100\n-n 200\n-n 300\n"),
             &opts(6),
             batch,
+            Placement::RoundRobin,
             &plan,
             &RecoveryPolicy::default(),
             &mut Recorder::disabled(),
+            false,
         )
         .unwrap()
     };
@@ -375,7 +352,7 @@ fn batched_and_unbatched_recovery_agree_under_a_trap() {
     let batched = run(2);
     // Same final payloads and the same recovery story, whatever the
     // batching (timings legitimately differ).
-    let sums = |r: &dgc_fault::ResilientResult| -> Vec<String> {
+    let sums = |r: &dgc_fault::ShardedResilientResult| -> Vec<String> {
         r.ensemble
             .stdout
             .iter()
@@ -392,21 +369,35 @@ fn batched_and_unbatched_recovery_agree_under_a_trap() {
 #[test]
 fn empty_plan_traced_run_is_bit_identical_to_batched() {
     let arg_lines = lines("-n 100\n-n 200\n-n 300\n");
-    let mut gpu = Gpu::a100();
+    let mut fleet = one_a100();
     let mut obs_b = Recorder::enabled();
-    let baseline =
-        run_ensemble_batched_traced(&mut gpu, &app(), &arg_lines, &opts(6), 2, &mut obs_b).unwrap();
-    let mut gpu = Gpu::a100();
-    let mut obs_r = Recorder::enabled();
-    let r = run_ensemble_resilient(
-        &mut gpu,
+    let baseline = run_ensemble_sharded_resilient_mem_aware(
+        &mut fleet,
         &app(),
         &arg_lines,
         &opts(6),
         2,
+        Placement::RoundRobin,
+        &FaultPlan::default(),
+        &no_recovery(),
+        &mut obs_b,
+        false,
+    )
+    .unwrap()
+    .ensemble;
+    let mut fleet = one_a100();
+    let mut obs_r = Recorder::enabled();
+    let r = run_ensemble_sharded_resilient_mem_aware(
+        &mut fleet,
+        &app(),
+        &arg_lines,
+        &opts(6),
+        2,
+        Placement::RoundRobin,
         &FaultPlan::default(),
         &RecoveryPolicy::default(),
         &mut obs_r,
+        false,
     )
     .unwrap();
     assert_eq!(r.ensemble.instances, baseline.instances);

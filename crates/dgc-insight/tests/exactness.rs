@@ -1,19 +1,19 @@
 //! Acceptance properties: the critical path's span sum reproduces the
-//! driver-reported makespan **bit-exactly** across every driver — plain,
-//! batched, resilient under injected faults, and multi-device sharded —
+//! reported makespan **bit-exactly** across every run shape — plain,
+//! batched, recovering from injected faults, and multi-device sharded —
 //! and every blame table's percentages fold to exactly 100.
 
 use device_libc::dl_printf;
-use dgc_core::{
-    run_ensemble_batched_traced, run_ensemble_traced, AppContext, EnsembleOptions, HostApp,
+use dgc_core::{run_ensemble_traced, AppContext, EnsembleOptions, HostApp};
+use dgc_fault::{
+    run_ensemble_sharded_resilient_mem_aware, FaultPlan, RecoveryPolicy, ShardedResilientResult,
 };
-use dgc_fault::{run_ensemble_resilient, FaultPlan, RecoveryPolicy};
 use dgc_insight::{
     blame_devices, blame_instances, blame_stalls, folded_stacks, render_report, validate_folded,
     CriticalPath,
 };
 use dgc_obs::Recorder;
-use dgc_sched::{run_ensemble_sharded, Placement};
+use dgc_sched::Placement;
 use gpu_arch::DeviceRegistry;
 use gpu_sim::{DeviceFleet, Gpu, KernelError, TeamCtx};
 use host_rpc::HostServices;
@@ -70,6 +70,20 @@ fn opts(n: u32) -> EnsembleOptions {
 
 /// Shared postcondition: bit-exact path sum, exact-100 blame folds, and
 /// a flamegraph that validates.
+/// Every instance launches once: a run without recovery.
+fn no_recovery() -> RecoveryPolicy {
+    RecoveryPolicy {
+        max_attempts: 1,
+        oom_split: false,
+        ..RecoveryPolicy::default()
+    }
+}
+
+/// The slowest device's busy time.
+fn makespan_s(res: &ShardedResilientResult) -> f64 {
+    res.per_device_time_s.iter().cloned().fold(0.0, f64::max)
+}
+
 fn assert_insight_invariants(graph: &dgc_obs::SpanGraph, reported_makespan_s: f64) {
     let path = CriticalPath::from_graph(graph);
     assert_eq!(
@@ -118,11 +132,9 @@ proptest! {
     /// the reported total bit-exactly.
     #[test]
     fn batched_runs_replay_bit_exactly(n in 1u32..9, batch in 1u32..5) {
-        let mut gpu = Gpu::a100();
-        let res = run_ensemble_batched_traced(
-            &mut gpu, &app(), &lines(), &opts(n), batch, &mut Recorder::disabled(),
-        )
-        .unwrap();
+        let mut fleet = DeviceFleet::from_gpus(vec![Gpu::a100()]);
+        let res = run_ensemble_sharded_resilient_mem_aware(&mut fleet, &app(), &lines(), &opts(n), batch, Placement::RoundRobin, &FaultPlan::default(), &no_recovery(), &mut Recorder::disabled(), false)
+        .unwrap().ensemble;
         prop_assert!(res.all_succeeded());
         let path = CriticalPath::from_graph(&res.graph);
         prop_assert_eq!(path.span_sum_s.to_bits(), res.total_time_s.to_bits());
@@ -152,11 +164,8 @@ proptest! {
             max_attempts: 4,
             ..Default::default()
         };
-        let mut gpu = Gpu::a100();
-        let res = run_ensemble_resilient(
-            &mut gpu, &app(), &lines(), &opts(n), batch, &plan, &policy,
-            &mut Recorder::disabled(),
-        )
+        let mut fleet = DeviceFleet::from_gpus(vec![Gpu::a100()]);
+        let res = run_ensemble_sharded_resilient_mem_aware(&mut fleet, &app(), &lines(), &opts(n), batch, Placement::RoundRobin, &plan, &policy, &mut Recorder::disabled(), false)
         .unwrap();
         assert_insight_invariants(&res.ensemble.graph, res.ensemble.total_time_s);
         // Retries happened and are visible as rounds (or the plan's traps
@@ -178,18 +187,18 @@ proptest! {
         let spec = vec!["a100"; devices].join(",");
         let mut fleet = DeviceFleet::from_registry(&DeviceRegistry::parse(&spec).unwrap());
         let placement = Placement::all()[policy];
-        let res = run_ensemble_sharded(
-            &mut fleet, &app(), &lines(), &opts(n), batch, placement,
-            &mut Recorder::disabled(),
-        )
+        let res = run_ensemble_sharded_resilient_mem_aware(&mut fleet, &app(), &lines(), &opts(n), batch, placement, &FaultPlan::default(), &no_recovery(), &mut Recorder::disabled(), false)
         .unwrap();
         prop_assert!(res.all_succeeded());
         let path = CriticalPath::from_graph(&res.ensemble.graph);
-        prop_assert_eq!(path.span_sum_s.to_bits(), res.makespan_s().to_bits());
+        prop_assert_eq!(path.span_sum_s.to_bits(), makespan_s(&res).to_bits());
         assert_insight_invariants(&res.ensemble.graph, res.ensemble.total_time_s);
         // Each device lane that got instances appears in the graph.
         let lanes = res.ensemble.graph.devices() as usize;
-        let busy = res.assignment.iter().filter(|a| !a.is_empty()).count();
+        let mut busy: Vec<u32> = res.ensemble.metrics.iter().map(|m| m.device).collect();
+        busy.sort_unstable();
+        busy.dedup();
+        let busy = busy.len();
         prop_assert!(lanes >= busy, "lanes {} < busy devices {}", lanes, busy);
     }
 }
@@ -200,21 +209,24 @@ proptest! {
 fn device_blame_follows_the_slow_lane() {
     let reg = DeviceRegistry::parse("a100,a100*0.25").unwrap();
     let mut fleet = DeviceFleet::from_registry(&reg);
-    let res = run_ensemble_sharded(
+    let res = run_ensemble_sharded_resilient_mem_aware(
         &mut fleet,
         &app(),
         &lines(),
         &opts(4),
         0,
         Placement::RoundRobin,
+        &FaultPlan::default(),
+        &no_recovery(),
         &mut Recorder::disabled(),
+        false,
     )
     .unwrap();
     assert!(res.all_succeeded());
     let path = CriticalPath::from_graph(&res.ensemble.graph);
     assert_eq!(
         path.span_sum_s.to_bits(),
-        res.makespan_s().to_bits(),
+        makespan_s(&res).to_bits(),
         "heterogeneous lane fold must stay bit-exact"
     );
     let table = blame_devices(&res.ensemble.graph, &path);

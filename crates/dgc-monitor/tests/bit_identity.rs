@@ -1,19 +1,16 @@
-//! The monitor's cardinal invariant, property-tested across all five
-//! ensemble drivers: attaching a [`MonitorRegistry`] to a run is pure
+//! The monitor's cardinal invariant, property-tested across the run
+//! shapes of the ensemble loader and executor (plain, batched,
+//! recovering, and both on a two-device fleet): attaching a [`MonitorRegistry`] to a run is pure
 //! observation. Chrome-trace bytes and metrics JSONL are bit-identical
 //! with and without the sink, while the registry still fills with the
 //! run's operational metrics.
 
 use device_libc::dl_printf;
-use dgc_core::{
-    run_ensemble_batched_traced, run_ensemble_traced, AppContext, EnsembleOptions, HostApp,
-};
-use dgc_fault::{
-    run_ensemble_resilient, run_ensemble_sharded_resilient, FaultPlan, RecoveryPolicy,
-};
+use dgc_core::{run_ensemble_traced, AppContext, EnsembleOptions, HostApp};
+use dgc_fault::{run_ensemble_sharded_resilient_mem_aware, FaultPlan, RecoveryPolicy};
 use dgc_monitor::MonitorRegistry;
 use dgc_obs::{metrics_jsonl, Recorder};
-use dgc_sched::{run_ensemble_sharded, Placement};
+use dgc_sched::Placement;
 use gpu_arch::GpuSpec;
 use gpu_sim::{DeviceFleet, Gpu, KernelError, TeamCtx};
 use host_rpc::HostServices;
@@ -69,6 +66,15 @@ fn opts(n: u32) -> EnsembleOptions {
     }
 }
 
+/// Every instance launches once: a run without recovery.
+fn no_recovery() -> RecoveryPolicy {
+    RecoveryPolicy {
+        max_attempts: 1,
+        oom_split: false,
+        ..RecoveryPolicy::default()
+    }
+}
+
 const DRIVERS: [&str; 5] = [
     "plain",
     "batched",
@@ -99,29 +105,43 @@ fn run_driver(driver: &str, n: u32, batch: u32, seed: u64, obs: &mut Recorder) -
             (r.metrics.clone(), r.launch_metrics())
         }
         "batched" => {
-            let mut gpu = Gpu::a100();
-            let r = run_ensemble_batched_traced(&mut gpu, &app(), &arg_lines, &opts(n), batch, obs)
-                .unwrap();
-            (r.metrics.clone(), r.launch_metrics())
-        }
-        "resilient" => {
-            let mut gpu = Gpu::a100();
-            let r = run_ensemble_resilient(
-                &mut gpu,
+            let mut fleet = DeviceFleet::homogeneous(GpuSpec::a100_40gb(), 1);
+            let r = run_ensemble_sharded_resilient_mem_aware(
+                &mut fleet,
                 &app(),
                 &arg_lines,
                 &opts(n),
                 batch,
+                Placement::RoundRobin,
+                &FaultPlan::default(),
+                &no_recovery(),
+                obs,
+                false,
+            )
+            .unwrap()
+            .ensemble;
+            (r.metrics.clone(), r.launch_metrics())
+        }
+        "resilient" => {
+            let mut fleet = DeviceFleet::homogeneous(GpuSpec::a100_40gb(), 1);
+            let r = run_ensemble_sharded_resilient_mem_aware(
+                &mut fleet,
+                &app(),
+                &arg_lines,
+                &opts(n),
+                batch,
+                Placement::RoundRobin,
                 &plan,
                 &policy,
                 obs,
+                false,
             )
             .unwrap();
             (r.ensemble.metrics.clone(), r.launch_metrics())
         }
         "fault-sharded" => {
             let mut fleet = DeviceFleet::homogeneous(GpuSpec::a100_40gb(), 2);
-            let r = run_ensemble_sharded_resilient(
+            let r = run_ensemble_sharded_resilient_mem_aware(
                 &mut fleet,
                 &app(),
                 &arg_lines,
@@ -131,20 +151,24 @@ fn run_driver(driver: &str, n: u32, batch: u32, seed: u64, obs: &mut Recorder) -
                 &plan,
                 &policy,
                 obs,
+                false,
             )
             .unwrap();
             (r.ensemble.metrics.clone(), r.launch_metrics())
         }
         "sched-sharded" => {
             let mut fleet = DeviceFleet::homogeneous(GpuSpec::a100_40gb(), 2);
-            let r = run_ensemble_sharded(
+            let r = run_ensemble_sharded_resilient_mem_aware(
                 &mut fleet,
                 &app(),
                 &arg_lines,
                 &opts(n),
                 batch,
                 placement,
+                &FaultPlan::default(),
+                &no_recovery(),
                 obs,
+                false,
             )
             .unwrap();
             (r.ensemble.metrics.clone(), r.launch_metrics())
@@ -157,7 +181,7 @@ fn run_driver(driver: &str, n: u32, batch: u32, seed: u64, obs: &mut Recorder) -
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// For every driver, any instance count / batch size / fault seed:
+    /// For every run shape, any instance count / batch size / fault seed:
     /// trace and metrics bytes are identical with the monitor attached,
     /// and the registry observed every instance completion.
     #[test]

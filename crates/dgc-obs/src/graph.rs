@@ -78,13 +78,13 @@ impl CriticalHop {
 pub struct LaunchNode {
     /// Kernel name (`app-x<N>` of this launch's chunk).
     pub kernel: String,
-    /// Fleet index of the device that ran the launch (0 outside the
-    /// sharded drivers).
+    /// Fleet index of the device that ran the launch (0 on a one-device
+    /// run).
     pub device: u32,
     /// Retry round (0 = first attempt), mirroring `InstanceMetrics::attempt`.
     pub round: u32,
     /// True when the launch ran concurrently with other devices' launches
-    /// of the same round (sharded drivers): the round then costs the
+    /// of the same round (fleet runs): the round then costs the
     /// slowest device lane, not the sum.
     pub concurrent: bool,
     /// Launch-timeline offset where this node begins, seconds.
@@ -181,7 +181,7 @@ impl SpanGraph {
     }
 
     /// Stamp every launch with the device lane that ran it and whether
-    /// it ran concurrently with other lanes (sharded drivers, mirroring
+    /// it ran concurrently with other lanes (fleet runs, mirroring
     /// `InstanceMetrics::device`).
     pub fn stamp_device(&mut self, device: u32, concurrent: bool) {
         for n in &mut self.nodes {
@@ -192,7 +192,7 @@ impl SpanGraph {
         }
     }
 
-    /// Stamp every launch with its retry round (resilient drivers).
+    /// Stamp every launch with its retry round (recovery rounds).
     pub fn stamp_round(&mut self, round: u32) {
         for n in &mut self.nodes {
             if let SpanNode::Launch(l) = n {
@@ -201,9 +201,9 @@ impl SpanGraph {
         }
     }
 
-    /// Shift every launch's start on the launch timeline (batched and
-    /// resilient drivers, in lockstep with the `end_time_s` shift they
-    /// apply to instance metrics).
+    /// Shift every launch's start on the launch timeline (multi-launch
+    /// runs, in lockstep with the `end_time_s` shift the executor
+    /// applies to instance metrics).
     pub fn shift_start_s(&mut self, delta_s: f64) {
         for n in &mut self.nodes {
             if let SpanNode::Launch(l) = n {
@@ -236,15 +236,15 @@ impl SpanGraph {
         self.launches().map(|l| l.round + 1).max().unwrap_or(0)
     }
 
-    /// Replay the drivers' makespan accumulation over the graph:
+    /// Replay the run's makespan accumulation over the graph:
     ///
     /// * a backoff node adds its wait to the accumulator;
-    /// * a non-concurrent launch adds its `total_s` directly (plain,
-    ///   batched and single-device resilient drivers keep one running
+    /// * a non-concurrent launch adds its `total_s` directly (a plain
+    ///   launch and the executor's one-device timeline keep one running
     ///   accumulator);
     /// * a run of concurrent launches of one round folds each device
-    ///   lane from zero and adds the slowest lane (the sharded drivers'
-    ///   per-round makespan).
+    ///   lane from zero and adds the slowest lane (the executor's
+    ///   per-round makespan on a fleet).
     ///
     /// Because every addition uses the driver's own addend in the
     /// driver's own association, the result is bit-exact against the

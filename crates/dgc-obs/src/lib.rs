@@ -18,7 +18,7 @@
 //!    periodic samples converted to wall microseconds, exported both as
 //!    Chrome counter tracks (`"ph":"C"`) and as the metrics schema v5
 //!    `timeline` array.
-//! 5. [`SpanGraph`] — the causal span graph: every driver's exact
+//! 5. [`SpanGraph`] — the causal span graph: every run's exact
 //!    makespan addends in accumulation order, plus per-launch critical
 //!    chains, stall buckets and wave layouts. `dgc-insight` consumes it
 //!    for critical-path blame analysis and flamegraph export;

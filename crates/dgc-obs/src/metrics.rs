@@ -206,10 +206,10 @@ pub struct InstanceMetrics {
     /// `trapped`).
     pub timed_out: bool,
     /// Recovery attempt that produced this record: 0 for the first launch,
-    /// `n` for the n-th retry. Always 0 outside the resilient driver.
+    /// `n` for the n-th retry. Always 0 without recovery.
     pub attempt: u32,
-    /// Fleet index of the device the instance ran on. Always 0 outside
-    /// the sharded driver.
+    /// Fleet index of the device the instance ran on. Always 0 on a
+    /// one-device run.
     pub device: u32,
     /// Simulated completion time of the instance's block, seconds from
     /// launch-sequence start.
@@ -261,14 +261,14 @@ pub struct LaunchMetrics {
     pub waves: u32,
     pub rpc_total: u64,
     /// Recovery rounds executed (1 = no retries were needed; always 1
-    /// outside the resilient driver).
+    /// without recovery).
     pub attempts: u32,
     /// Distinct instances that were re-launched at least once.
     pub retried: u32,
     /// Instances that failed at least once but ultimately succeeded.
     pub recovered: u32,
     /// Instances still failed (or skipped) after all recovery attempts.
-    /// Equals `failed` outside the resilient driver.
+    /// Equals `failed` without recovery.
     pub unrecovered: u32,
     /// Instances whose *final* attempt was killed by the watchdog.
     pub timeouts: u32,

@@ -8,9 +8,9 @@
 //! one `Option` check per event.
 //!
 //! Every method takes `&self` and must be cheap and non-blocking: sinks
-//! are shared across the per-device threads of a sharded launch behind an
-//! [`Arc`]. Crucially, sinks **observe** the run — they are handed copies
-//! of values the driver already computed and can never feed anything back
+//! are shared behind an [`Arc`] (fleet lanes wrap them in
+//! [`DeviceStamped`]). Crucially, sinks **observe** the run — they are
+//! handed copies of values the driver already computed and can never feed anything back
 //! into the simulation, which is how `--monitor-out` keeps simulated
 //! results bit-identical to an unmonitored run.
 
@@ -19,8 +19,8 @@ use std::sync::Arc;
 /// Receiver for operational events streamed out of a running ensemble.
 ///
 /// All methods default to no-ops so sinks implement only what they count.
-/// `device` arguments are fleet-relative ordinals (0 for single-device
-/// drivers); sharded drivers re-stamp them via [`DeviceStamped`].
+/// `device` arguments are fleet-relative ordinals (0 on a one-device
+/// run); fleet lanes re-stamp them via [`DeviceStamped`].
 pub trait MonitorSink: Send + Sync {
     /// An instance reached a final outcome for this launch: `ok` says
     /// whether it succeeded, `latency_s` is its simulated end-to-end time

@@ -11,10 +11,10 @@
 //! * the `timeline` array of metrics schema v5
 //!   ([`crate::LaunchMetrics::timeline`]).
 //!
-//! Batched, resilient and sharded drivers accumulate per-kernel
-//! timelines with [`LaunchTimeline::shift_us`] / [`LaunchTimeline::merge`]
-//! exactly as they shift and merge instance metrics, so the series stays
-//! consistent with `end_time_s` across every driver.
+//! The multi-launch executor accumulates per-kernel timelines with
+//! [`LaunchTimeline::shift_us`] / [`LaunchTimeline::merge`] exactly as it
+//! shifts and merges instance metrics, so the series stays consistent
+//! with `end_time_s` on every run.
 
 use crate::recorder::{Recorder, PID_HOST};
 use gpu_sim::UtilizationTimeline;
@@ -30,8 +30,8 @@ use serde::{Deserialize, Serialize, Value};
 pub struct TimelinePoint {
     /// Sample timestamp, µs on the launch timeline.
     pub t_us: f64,
-    /// Fleet index of the device the sample came from (0 outside the
-    /// sharded drivers).
+    /// Fleet index of the device the sample came from (0 on a one-device
+    /// run).
     pub device: u32,
     /// Teams still making progress on placed blocks.
     pub active_teams: u32,

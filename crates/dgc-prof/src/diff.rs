@@ -550,8 +550,8 @@ mod tests {
 
     #[test]
     fn schema_v3_runnability_comes_from_unrecovered() {
-        // A recovered OOM (cumulative oom > 0, unrecovered = 0) under the
-        // resilient driver still produced a valid time.
+        // A recovered OOM (cumulative oom > 0, unrecovered = 0) still
+        // produced a valid time.
         let recovered = r#"{"record":"launch","schema":3,"kernel":"pagerank-x8","instances":8,"failed":8,"oom":8,"unrecovered":0,"oom_splits":1,"kernel_time_s":0.004,"total_time_s":0.005,"waves":2,"rpc_total":8}"#;
         let s = Snapshot::parse(recovered).unwrap();
         assert_eq!(s.entries[&key("pagerank", 0, 8)], Some(0.004));
@@ -563,7 +563,7 @@ mod tests {
 
     #[test]
     fn explicit_instances_field_beats_kernel_name_parsing() {
-        // The resilient driver's rollup names the whole sequence; the
+        // A recovery run's rollup names the whole sequence; the
         // `instances` field is authoritative.
         let text = r#"{"record":"launch","schema":3,"kernel":"weird-xname","instances":6,"failed":0,"oom":0,"unrecovered":0,"kernel_time_s":0.002,"total_time_s":0.002,"waves":1,"rpc_total":0}"#;
         let s = Snapshot::parse(text).unwrap();

@@ -1,8 +1,9 @@
-//! Multi-device ensemble sharding (`dgc-sched`).
+//! Multi-device ensemble placement (`dgc-sched`).
 //!
 //! The paper runs every instance of an ensemble on one device and tops
 //! out when that device's SMs and DRAM bandwidth saturate (§4.3). This
-//! crate shards a single ensemble launch across **M simulated devices**:
+//! crate decides how a single ensemble shards across **M simulated
+//! devices**; the executor in `dgc-fault` runs the shards.
 //!
 //! * [`Placement`] — how instances map to devices: `round-robin` (the
 //!   naive baseline), `greedy` (bin-pack by predicted instance time) and
@@ -13,20 +14,11 @@
 //!   roofline, scaled to each device by the resource its bound class
 //!   actually consumes (clock for compute/latency-bound instances, DRAM
 //!   bandwidth for memory-bound ones).
-//! * [`run_ensemble_sharded`] — the wave driver: one driver thread per
-//!   device runs its shard as an independent (optionally batched) kernel
-//!   sequence; results merge back into one [`dgc_core::EnsembleResult`]
-//!   whose completion time is the **makespan** — the maximum over the
-//!   per-device times, what a multi-GPU launch actually waits for.
-//!
-//! With one device the driver delegates to the single-device paths, so
-//! `--devices 1` is bit-identical to `run_ensemble_batched` — times,
-//! metrics and Chrome-trace bytes (property-tested).
+//! * [`wave_take`] / [`mem_cap_take`] — greedy-prefix sizing of serving
+//!   waves by predicted time and of launch chunks by pilot peak memory.
 
 mod cost;
 mod place;
-mod shard;
 
 pub use cost::{mem_cap_take, wave_take, InstanceCost, InstanceCosts};
 pub use place::{Placement, PlacementParseError};
-pub use shard::{run_ensemble_sharded, run_ensemble_sharded_mem_aware, ShardedResult};

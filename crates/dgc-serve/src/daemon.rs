@@ -19,12 +19,12 @@
 use crate::journal::{JobDone, JobSpec, Journal, JournalError, Record};
 use crate::state::{JobPhase, ServeState};
 use dgc_core::{EnsembleError, EnsembleOptions, HostApp};
-use dgc_fault::{run_ensemble_resilient, FaultPlan, RecoveryPolicy};
+use dgc_fault::{run_ensemble_sharded_resilient_mem_aware, FaultPlan, RecoveryPolicy};
 use dgc_monitor::{Counter, Gauge, Histogram, MonitorRegistry};
 use dgc_obs::Recorder;
-use dgc_sched::{mem_cap_take, wave_take, InstanceCosts};
+use dgc_sched::{mem_cap_take, wave_take, InstanceCosts, Placement};
 use gpu_arch::GpuSpec;
-use gpu_sim::Gpu;
+use gpu_sim::{DeviceFleet, Gpu};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -448,15 +448,19 @@ impl Daemon {
         if let Some(reg) = &self.cfg.monitor {
             obs.set_monitor(Arc::clone(reg) as Arc<dyn dgc_obs::MonitorSink>);
         }
-        let res = run_ensemble_resilient(
-            &mut gpu,
+        // A one-device fleet: the executor runs no pilots of its own
+        // (`mem_aware = false`) — the wave is already sized.
+        let res = run_ensemble_sharded_resilient_mem_aware(
+            &mut DeviceFleet::from_gpus(vec![gpu]),
             &app,
             &arg_lines,
             &opts,
             0,
+            Placement::RoundRobin,
             &FaultPlan::default(),
             &policy,
             &mut obs,
+            false,
         )?;
         self.executed.extend(ids.iter().cloned());
 

@@ -17,10 +17,11 @@
 //! `--timeline` samples device utilization over time (`--sample-interval
 //! <cycles>` tunes the rate), adding Chrome counter tracks to the trace
 //! and the schema-v5 `timeline` array to the metrics; `--progress` prints
-//! status lines to stderr (suppressed by `--quiet`) — with `--batch` the
-//! batched driver reports completed/total instances, the observed
-//! instances-per-second rate and an ETA after every batch (`eta --`
-//! while the measured rate is still ~zero).
+//! status lines to stderr (suppressed by `--quiet`) — when the ensemble
+//! takes more than one launch (`--batch`, capacity-capped chunks,
+//! retries), completed/total instances, the observed instances-per-second
+//! rate and an ETA after every launch (`eta --` while the measured rate
+//! is still ~zero).
 //!
 //! Monitoring: `--monitor-out snapshots.om` attaches the `dgc-monitor`
 //! operational-metrics registry to the run and streams OpenMetrics
@@ -36,9 +37,13 @@
 //! stacks.folded` writes an inferno-compatible folded-stack flamegraph,
 //! both rendered from the run's in-process span graph.
 //!
+//! Every run goes through the one ensemble executor
+//! (`dgc_fault::run_ensemble_sharded_resilient_mem_aware`); runs without
+//! recovery flags launch each instance once.
+//!
 //! Fault tolerance: `--faults plan.json` injects a deterministic fault
-//! plan and drives the run through the resilient driver, which re-launches
-//! failed instances (`--max-attempts`), halves the batch on device OOM
+//! plan and turns recovery on: the executor re-launches failed instances
+//! (`--max-attempts`), halves the batch on device OOM
 //! (`--auto-batch`), reaps hung instances (`--instance-timeout <cycles>`)
 //! and can abort on the first unrecoverable instance (`--fail-fast`). The
 //! exit status is non-zero whenever any instance ends failed or skipped
@@ -53,24 +58,21 @@
 //!
 //! Memory-aware packing (default on): pilot runs record each distinct
 //! argument line's peak heap bytes, placement refuses shards that would
-//! exceed device capacity, unbatched runs size their batch to the
-//! capacity fit, and the heap recycles freed blocks through per-team
+//! exceed device capacity, every launch is capped at the capacity fit of
+//! its instances, and the heap recycles freed blocks through per-team
 //! free lists. `--no-mem-aware` restores the bit-identical legacy
 //! behavior (first-fit only, memory-blind placement, OOM-then-halve).
 
-use dgc_core::{
-    parse_ensemble_cli, run_ensemble_traced, EnsembleOptions, HostApp, MappingStrategy,
-};
-use dgc_fault::{
-    run_ensemble_resilient_mem_aware, run_ensemble_sharded_resilient_mem_aware, FaultPlan,
-    RecoveryPolicy, RecoveryStats,
-};
+use dgc_core::{parse_ensemble_cli, EnsembleOptions, MappingStrategy};
+use dgc_fault::{run_ensemble_sharded_resilient_mem_aware, FaultPlan, RecoveryPolicy};
 use dgc_monitor::{MonitorRegistry, MonitorWriter};
-use dgc_obs::{metrics_jsonl, LaunchMetrics, Recorder};
-use dgc_sched::{run_ensemble_sharded_mem_aware, InstanceCosts, Placement};
+use dgc_obs::{metrics_jsonl, MonitorSink, Recorder};
+use dgc_sched::Placement;
 use gpu_arch::GpuSpec;
-use gpu_sim::{DeviceFleet, Gpu};
-use host_rpc::HostServices;
+use gpu_sim::DeviceFleet;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!("usage: ensemble-cli <app> -f <arguments file> [-n <instances>] [-t <thread limit>] [--pack <M>] [--batch <B>]");
@@ -87,31 +89,98 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Pilot-run cost/peak estimation for the memory-aware single-device
-/// paths. Returns `None` when mem-aware mode is off or the argument
-/// file cannot cover the requested instances (the real driver reports
-/// that error itself, keeping the legacy error text).
-fn pilot_costs(
-    mem_aware: bool,
-    app: &HostApp,
-    arg_lines: &[Vec<String>],
-    opts: &EnsembleOptions,
-) -> Option<InstanceCosts> {
-    if !mem_aware || arg_lines.is_empty() {
-        return None;
+/// `--progress` per-launch status lines. Counts launched instances off
+/// the monitor's `kernel_launch` events and prints completed/total, the
+/// observed instances-per-second rate and an ETA after every launch —
+/// unless the first launch already covered the whole ensemble. Every
+/// event is forwarded to `inner` (the `--monitor-out` registry) when one
+/// is attached.
+struct ProgressSink {
+    total: u32,
+    launched: AtomicU32,
+    started: Instant,
+    inner: Option<Arc<dyn MonitorSink>>,
+}
+
+impl MonitorSink for ProgressSink {
+    fn kernel_launch(&self, device: u32, instances: u32, busy_s: f64) {
+        if let Some(m) = &self.inner {
+            m.kernel_launch(device, instances, busy_s);
+        }
+        let launched = self.launched.fetch_add(instances, Ordering::Relaxed) + instances;
+        if launched == instances && launched >= self.total {
+            return;
+        }
+        // Retry launches re-run instances already counted as completed.
+        let done = launched.min(self.total);
+        let elapsed_s = self.started.elapsed().as_secs_f64();
+        let rate = if elapsed_s > 0.0 {
+            done as f64 / elapsed_s
+        } else {
+            0.0
+        };
+        let eta = dgc_core::format_eta_s(u64::from(self.total.saturating_sub(done)), rate);
+        let total = self.total;
+        eprintln!("progress: {done}/{total} instances | {rate:.1} instances/s | eta {eta}");
     }
-    let n = opts.num_instances.max(1) as usize;
-    if !opts.cycle_args && n > arg_lines.len() {
-        return None;
+
+    fn instance_done(&self, device: u32, ok: bool, latency_s: f64) {
+        if let Some(m) = &self.inner {
+            m.instance_done(device, ok, latency_s);
+        }
     }
-    let lines_of: Vec<Vec<String>> = (0..n)
-        .map(|i| arg_lines[i % arg_lines.len()].clone())
-        .collect();
-    match InstanceCosts::estimate(app, &lines_of, opts, &GpuSpec::a100_40gb()) {
-        Ok(c) => Some(c),
-        Err(e) => {
-            eprintln!("error: {e}");
-            std::process::exit(1);
+
+    fn instance_recovered(&self, device: u32) {
+        if let Some(m) = &self.inner {
+            m.instance_recovered(device);
+        }
+    }
+
+    fn retry_scheduled(&self, device: u32) {
+        if let Some(m) = &self.inner {
+            m.retry_scheduled(device);
+        }
+    }
+
+    fn oom_split(&self, new_batch: u32) {
+        if let Some(m) = &self.inner {
+            m.oom_split(new_batch);
+        }
+    }
+
+    fn backoff_wait(&self, seconds: f64) {
+        if let Some(m) = &self.inner {
+            m.backoff_wait(seconds);
+        }
+    }
+
+    fn team_done(&self, device: u32, done: u32, total: u32) {
+        if let Some(m) = &self.inner {
+            m.team_done(device, done, total);
+        }
+    }
+
+    fn heap_sample(&self, device: u32, in_use: u64, high_water: u64, capacity: u64) {
+        if let Some(m) = &self.inner {
+            m.heap_sample(device, in_use, high_water, capacity);
+        }
+    }
+
+    fn rpc_activity(&self, calls: u64, failures: u64) {
+        if let Some(m) = &self.inner {
+            m.rpc_activity(calls, failures);
+        }
+    }
+
+    fn device_dead(&self, device: u32) {
+        if let Some(m) = &self.inner {
+            m.device_dead(device);
+        }
+    }
+
+    fn utilization_sample(&self, device: u32, mean: f64) {
+        if let Some(m) = &self.inner {
+            m.utilization_sample(device, mean);
         }
     }
 }
@@ -184,7 +253,7 @@ fn main() {
     // sink — attaching it never changes the simulated results.
     let monitor_writer = match &cli.monitor_out {
         Some(path) => {
-            let registry = std::sync::Arc::new(MonitorRegistry::new());
+            let registry = Arc::new(MonitorRegistry::new());
             obs.set_monitor(registry.clone());
             match MonitorWriter::spawn(
                 registry,
@@ -201,38 +270,35 @@ fn main() {
         None => None,
     };
 
-    // Any recovery-related flag routes the run through the resilient
-    // driver (an absent --faults file just means an empty plan).
+    // Any recovery-related flag turns recovery on (an absent --faults
+    // file just means an empty plan); without one every instance
+    // launches once.
     let resilient = cli.faults.is_some()
         || cli.auto_batch
         || cli.instance_timeout.is_some()
         || cli.fail_fast
         || cli.retry_jitter.is_some();
-    let plan = if resilient {
-        match &cli.faults {
-            Some(path) => {
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("error: cannot read {path}: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                match FaultPlan::from_json(&text) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        eprintln!("error: {path}: {e}");
-                        std::process::exit(2);
-                    }
+    let plan = match &cli.faults {
+        Some(path) => {
+            let text = match std::fs::read_to_string(path) {
+                Ok(t) => t,
+                Err(e) => {
+                    eprintln!("error: cannot read {path}: {e}");
+                    std::process::exit(1);
+                }
+            };
+            match FaultPlan::from_json(&text) {
+                Ok(p) => p,
+                Err(e) => {
+                    eprintln!("error: {path}: {e}");
+                    std::process::exit(2);
                 }
             }
-            None => FaultPlan::default(),
         }
-    } else {
-        FaultPlan::default()
+        None => FaultPlan::default(),
     };
     let policy = RecoveryPolicy {
-        max_attempts: cli.max_attempts,
+        max_attempts: if resilient { cli.max_attempts } else { 1 },
         oom_split: cli.auto_batch,
         instance_cycle_budget: cli.instance_timeout,
         fail_fast: cli.fail_fast,
@@ -240,166 +306,50 @@ fn main() {
         ..Default::default()
     };
 
-    type Recovery = Option<(RecoveryStats, LaunchMetrics)>;
-    // (devices, placement name, makespan, per-device times, dead devices)
-    type MultiDevice = Option<(u32, &'static str, f64, Vec<f64>, Vec<u32>)>;
-    let mut launch_override: Option<LaunchMetrics> = None;
-    let (result, recovery, multi): (_, Recovery, MultiDevice) = if cli.devices > 1 {
-        // Sharded across a homogeneous fleet of A100s.
-        let mut fleet = DeviceFleet::homogeneous(GpuSpec::a100_40gb(), cli.devices);
-        if resilient {
-            match run_ensemble_sharded_resilient_mem_aware(
-                &mut fleet,
-                &app,
-                &arg_lines,
-                &opts,
-                cli.batch,
-                placement,
-                &plan,
-                &policy,
-                &mut obs,
-                cli.mem_aware,
-            ) {
-                Ok(r) => {
-                    let lm = r.launch_metrics();
-                    let info = (
-                        r.devices,
-                        r.placement.name(),
-                        r.ensemble.total_time_s,
-                        r.per_device_time_s.clone(),
-                        r.dead_devices.clone(),
-                    );
-                    (r.ensemble, Some((r.recovery, lm)), Some(info))
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            }
-        } else {
-            match run_ensemble_sharded_mem_aware(
-                &mut fleet,
-                &app,
-                &arg_lines,
-                &opts,
-                cli.batch,
-                placement,
-                &mut obs,
-                cli.mem_aware,
-            ) {
-                Ok(r) => {
-                    launch_override = Some(r.launch_metrics());
-                    let info = (
-                        r.devices,
-                        r.placement.name(),
-                        r.makespan_s(),
-                        r.per_device_time_s.clone(),
-                        Vec::new(),
-                    );
-                    (r.ensemble, None, Some(info))
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-    } else if resilient {
-        let mut gpu = Gpu::a100();
-        // Memory-aware recovery sizes chunks from pilot peaks, so an
-        // over-capacity ensemble sequences up front instead of paying
-        // the OOM-then-halve tax. `--no-mem-aware` (costs = None) keeps
-        // the legacy driver bit-identical.
-        let costs = pilot_costs(cli.mem_aware, &app, &arg_lines, &opts);
-        match run_ensemble_resilient_mem_aware(
-            &mut gpu,
-            &app,
-            &arg_lines,
-            &opts,
-            cli.batch,
-            &plan,
-            &policy,
-            &mut obs,
-            costs.as_ref(),
-        ) {
-            Ok(r) => {
-                let lm = r.launch_metrics();
-                (r.ensemble, Some((r.recovery, lm)), None)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        let mut gpu = Gpu::a100();
-        // Memory-aware single-device runs recycle blocks through the
-        // heap's free lists and, when no explicit --batch was given,
-        // batch at the pilot-measured capacity fit so memory-hungry
-        // ensembles sequence instead of OOM-ing.
-        let eff_batch = if cli.mem_aware {
-            gpu.mem.set_free_lists(true);
-            match pilot_costs(cli.batch == 0, &app, &arg_lines, &opts) {
-                Some(costs) => {
-                    let n = opts.num_instances.max(1);
-                    let fit = costs.mem_fit_count(n, gpu.mem.capacity());
-                    if fit < n {
-                        fit
-                    } else {
-                        0
-                    }
-                }
-                None => cli.batch,
-            }
-        } else {
-            cli.batch
+    if cli.progress && !cli.quiet {
+        let sink = ProgressSink {
+            total: opts.num_instances.max(1),
+            launched: AtomicU32::new(0),
+            started: Instant::now(),
+            inner: obs.monitor().cloned(),
         };
-        let res = if eff_batch > 0 {
-            // Per-batch progress with rate + ETA from the wall clock and
-            // the completed/total instance counts.
-            let report_progress = cli.progress && !cli.quiet;
-            let started = std::time::Instant::now();
-            dgc_core::run_ensemble_batched_progress(
-                &mut gpu,
-                &app,
-                &arg_lines,
-                &opts,
-                eff_batch,
-                &mut obs,
-                &mut |done, total| {
-                    if !report_progress || done == 0 {
-                        return;
-                    }
-                    let elapsed_s = started.elapsed().as_secs_f64();
-                    let rate = if elapsed_s > 0.0 {
-                        done as f64 / elapsed_s
-                    } else {
-                        0.0
-                    };
-                    let eta = dgc_core::format_eta_s(u64::from(total.saturating_sub(done)), rate);
-                    eprintln!(
-                        "progress: {done}/{total} instances | {rate:.1} instances/s | eta {eta}"
-                    );
-                },
-            )
-        } else {
-            run_ensemble_traced(
-                &mut gpu,
-                &app,
-                &arg_lines,
-                &opts,
-                HostServices::default(),
-                &mut obs,
-            )
-        };
-        match res {
-            Ok(r) => (r, None, None),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            }
+        obs.set_monitor(Arc::new(sink));
+    }
+    let mut fleet = DeviceFleet::homogeneous(GpuSpec::a100_40gb(), cli.devices);
+    let run = match run_ensemble_sharded_resilient_mem_aware(
+        &mut fleet,
+        &app,
+        &arg_lines,
+        &opts,
+        cli.batch,
+        placement,
+        &plan,
+        &policy,
+        &mut obs,
+        cli.mem_aware,
+    ) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
         }
     };
+    // The launch rollup: recovery runs report the recovery story, plain
+    // fleet runs the multi-device fields, plain one-device runs the
+    // ensemble's own record.
+    let launch = if resilient {
+        run.launch_metrics()
+    } else {
+        let mut lm = run.ensemble.launch_metrics();
+        if cli.devices > 1 {
+            lm.kernel = format!("{}-x{}", app.name, opts.num_instances.max(1));
+            lm.devices = run.devices;
+            lm.makespan_s = run.ensemble.total_time_s;
+        }
+        lm
+    };
+    let recovery = resilient.then(|| run.recovery.clone());
+    let result = run.ensemble;
 
     if !cli.quiet {
         for (i, out) in result.stdout.iter().enumerate() {
@@ -423,20 +373,23 @@ fn main() {
         result.total_time_s * 1e3,
         result.rpc_stats.total()
     );
-    if let Some((devices, placement_name, makespan_s, per_device, dead)) = &multi {
-        let per: Vec<String> = per_device
+    if cli.devices > 1 {
+        let per: Vec<String> = run
+            .per_device_time_s
             .iter()
             .map(|t| format!("{:.3}", t * 1e3))
             .collect();
         print!(
-            "devices {devices} (placement {placement_name}) | makespan {:.3} ms | per-device ms [{}]",
-            makespan_s * 1e3,
+            "devices {} (placement {}) | makespan {:.3} ms | per-device ms [{}]",
+            run.devices,
+            run.placement.name(),
+            result.total_time_s * 1e3,
             per.join(", ")
         );
-        if dead.is_empty() {
+        if run.dead_devices.is_empty() {
             println!();
         } else {
-            let d: Vec<String> = dead.iter().map(|d| d.to_string()).collect();
+            let d: Vec<String> = run.dead_devices.iter().map(|d| d.to_string()).collect();
             println!(" | dead devices [{}]", d.join(", "));
         }
     }
@@ -454,7 +407,7 @@ fn main() {
     // run is synchronous, so the periodic status collapses into one line
     // per launch, emitted at completion.
     if cli.progress && !cli.quiet {
-        let recovered = recovery.as_ref().map(|(r, _)| r.recovered).unwrap_or(0);
+        let recovered = recovery.as_ref().map(|r| r.recovered).unwrap_or(0);
         // Timeline-sampled mean when --timeline ran; otherwise the
         // launch-aggregate issue utilization.
         let util = dgc_core::utilization_mean(&result.timeline.issue_rates())
@@ -467,7 +420,7 @@ fn main() {
             util * 100.0
         );
     }
-    if let Some((rec, _)) = &recovery {
+    if let Some(rec) = &recovery {
         println!(
             "recovery: attempts {} | retried {} | recovered {} | unrecovered {} | oom splits {} (final batch {}) | backoff {:.3} ms",
             rec.attempts,
@@ -513,11 +466,6 @@ fn main() {
         );
     }
     if let Some(path) = &cli.metrics_out {
-        let launch = recovery
-            .as_ref()
-            .map(|(_, lm)| lm.clone())
-            .or(launch_override)
-            .unwrap_or_else(|| result.launch_metrics());
         let jsonl = metrics_jsonl(&result.metrics, &launch);
         if let Err(e) = dgc_obs::write_atomic(path, jsonl) {
             eprintln!("error: cannot write {path}: {e}");

@@ -416,3 +416,122 @@ fn multi_device_metrics_carry_schema_v4_fields() {
         "every instance record names its device"
     );
 }
+
+/// Write a fault-plan file and return its path.
+fn plan_file(name: &str, json: &str) -> PathBuf {
+    let path = std::env::temp_dir().join(format!("ensemble-cli-test-{name}.json"));
+    std::fs::write(&path, json).unwrap();
+    path
+}
+
+#[test]
+fn fail_fast_skips_the_rest_on_one_device_and_on_a_fleet() {
+    let f = arg_file("fail-fast", 4);
+    let plan = plan_file(
+        "fail-fast",
+        r#"{"seed":0,"faults":[{"instance":0,"attempt":null,"kind":{"Trap":{"message":"injected"}}}]}"#,
+    );
+    for devices in ["1", "2"] {
+        let out = run(&[
+            "xsbench",
+            "-f",
+            f.to_str().unwrap(),
+            "-n",
+            "4",
+            "-t",
+            "32",
+            "--faults",
+            plan.to_str().unwrap(),
+            "--batch",
+            "1",
+            "--max-attempts",
+            "1",
+            "--fail-fast",
+            "--devices",
+            devices,
+            "--quiet",
+        ]);
+        assert_eq!(out.status.code(), Some(1), "--devices {devices}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        // Instance 0 exhausts its single attempt in the first launch;
+        // the other three never launch, whatever the fleet.
+        assert!(
+            stdout.contains("fail-fast: 3 instance(s) skipped"),
+            "--devices {devices}: {stdout}"
+        );
+        assert!(
+            stdout.contains("unrecovered 4"),
+            "--devices {devices}: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn retry_jitter_paces_fleet_retries_like_one_device() {
+    let f = arg_file("retry-jitter", 4);
+    let plan = plan_file(
+        "retry-jitter",
+        r#"{"seed":0,"faults":[
+            {"instance":0,"attempt":0,"kind":{"Trap":{"message":"injected"}}},
+            {"instance":1,"attempt":0,"kind":{"Trap":{"message":"injected"}}}]}"#,
+    );
+    for devices in ["1", "2"] {
+        let out = run(&[
+            "xsbench",
+            "-f",
+            f.to_str().unwrap(),
+            "-n",
+            "4",
+            "-t",
+            "32",
+            "--faults",
+            plan.to_str().unwrap(),
+            "--retry-jitter",
+            "7",
+            "--devices",
+            devices,
+            "--quiet",
+        ]);
+        assert_eq!(out.status.code(), Some(0), "--devices {devices}: {out:?}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        // The retry round waits for the last of the two jittered timers
+        // (under 1 ms), not the synchronized 1 ms wait.
+        assert!(
+            stdout.contains("recovered 2") && stdout.contains("backoff 0.832 ms"),
+            "--devices {devices}: {stdout}"
+        );
+    }
+}
+
+#[test]
+fn progress_counts_retried_instances_once() {
+    let f = arg_file("progress-retry", 4);
+    let plan = plan_file(
+        "progress-retry",
+        r#"{"seed":0,"faults":[{"instance":0,"attempt":0,"kind":{"Trap":{"message":"injected"}}}]}"#,
+    );
+    let out = run(&[
+        "xsbench",
+        "-f",
+        f.to_str().unwrap(),
+        "-n",
+        "4",
+        "-t",
+        "32",
+        "--batch",
+        "2",
+        "--faults",
+        plan.to_str().unwrap(),
+        "--progress",
+    ]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    // Two batches, then a retry launch of instance 0: every line stays
+    // within the ensemble's four instances.
+    let counts: Vec<&str> = err
+        .lines()
+        .filter_map(|l| l.strip_prefix("progress: ")?.split_once(" instances | "))
+        .map(|(count, _)| count)
+        .collect();
+    assert_eq!(counts, ["2/4", "4/4", "4/4"], "{err}");
+}

@@ -2,8 +2,8 @@
 //!
 //! Each device owns its own memory, transfer engine and timing state, so
 //! kernels launched on different fleet members are fully independent —
-//! the property the multi-device sharding layer relies on to run one
-//! driver thread per device.
+//! the property the ensemble executor relies on to replay its device
+//! lanes as concurrent.
 
 use crate::kernel::Gpu;
 use gpu_arch::{DeviceRegistry, GpuSpec};
@@ -46,18 +46,10 @@ impl DeviceFleet {
         &self.gpus[device].spec
     }
 
-    /// Split the fleet into owned per-device GPUs (for handing one to each
-    /// driver thread). The inverse of [`DeviceFleet::from_gpus`].
-    pub fn into_gpus(self) -> Vec<Gpu> {
-        self.gpus
-    }
-
+    /// A fleet of already-built devices (e.g. one fresh `Gpu` per
+    /// serving wave).
     pub fn from_gpus(gpus: Vec<Gpu>) -> Self {
         Self { gpus }
-    }
-
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Gpu> {
-        self.gpus.iter_mut()
     }
 }
 

@@ -4,14 +4,16 @@
 //! * \[26\]: single-team execution (the plain loader);
 //! * \[27\]: multi-team expansion of one instance (`run_multi_team`);
 //! * this paper: ensemble execution of N instances (`run_ensemble`),
-//!   plus the batched extension past the memory wall.
+//!   plus the batched extension past the memory wall (the executor with
+//!   a batch bound).
 
+use dgc_obs::Recorder;
+use dgc_sched::Placement;
 use ensemble_gpu::apps;
-use ensemble_gpu::core::{
-    run_ensemble, run_ensemble_batched, run_multi_team, EnsembleOptions, Loader,
-};
+use ensemble_gpu::core::{run_ensemble, run_multi_team, EnsembleOptions, Loader};
+use ensemble_gpu::fault::{run_ensemble_sharded_resilient_mem_aware, FaultPlan, RecoveryPolicy};
 use ensemble_gpu::rpc::HostServices;
-use ensemble_gpu::sim::Gpu;
+use ensemble_gpu::sim::{DeviceFleet, Gpu};
 
 const ARGS: [&str; 4] = ["-l", "120", "-g", "16"];
 
@@ -135,9 +137,9 @@ fn batched_ensemble_completes_what_concurrent_cannot() {
         thread_limit: 32,
         ..Default::default()
     };
-    let mut gpu = Gpu::a100();
+    let mut fleet = DeviceFleet::from_gpus(vec![Gpu::a100()]);
     let concurrent = run_ensemble(
-        &mut gpu,
+        fleet.gpu_mut(0),
         &app,
         std::slice::from_ref(&argv),
         &opts,
@@ -146,7 +148,25 @@ fn batched_ensemble_completes_what_concurrent_cannot() {
     .unwrap();
     assert!(concurrent.any_oom());
 
-    let batched = run_ensemble_batched(&mut gpu, &app, &[argv], &opts, 4).unwrap();
+    let no_recovery = RecoveryPolicy {
+        max_attempts: 1,
+        oom_split: false,
+        ..RecoveryPolicy::default()
+    };
+    let batched = run_ensemble_sharded_resilient_mem_aware(
+        &mut fleet,
+        &app,
+        &[argv],
+        &opts,
+        4,
+        Placement::RoundRobin,
+        &FaultPlan::default(),
+        &no_recovery,
+        &mut Recorder::disabled(),
+        false,
+    )
+    .unwrap()
+    .ensemble;
     assert!(batched.all_succeeded(), "{:?}", batched.instances);
     let reference = apps::pagerank::reference_checksum(&apps::pagerank::PrParams {
         vertices: 200,
@@ -157,5 +177,5 @@ fn batched_ensemble_completes_what_concurrent_cannot() {
         let printed = checksum(out);
         assert!((printed - reference).abs() <= reference.abs() * 1e-9);
     }
-    assert_eq!(gpu.mem.stats().live_allocations, 0);
+    assert_eq!(fleet.gpu(0).mem.stats().live_allocations, 0);
 }
