@@ -3,16 +3,14 @@ use serde::{Deserialize, Serialize};
 /// DRAM sector size: the granularity of a global-memory transaction.
 pub const SECTOR_BYTES: u64 = 32;
 
-/// Cache-line size: four sectors.
-pub const LINE_BYTES: u64 = 128;
+/// Lanes in one warp: the most addresses one [`coalesce`] call takes.
+pub const WARP_LANES: usize = 32;
 
 /// Result of coalescing one warp-wide access.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CoalesceResult {
     /// Number of 32-byte sectors touched (the transaction count).
     pub sectors: u32,
-    /// Number of distinct 128-byte lines touched.
-    pub lines: u32,
     /// Bytes the program actually asked for.
     pub useful_bytes: u64,
     /// Bytes moved from DRAM (`sectors * 32`).
@@ -28,97 +26,57 @@ impl CoalesceResult {
             self.useful_bytes as f64 / self.moved_bytes as f64
         }
     }
-
-    /// Accumulate another result into this one.
-    pub fn merge(&mut self, other: &CoalesceResult) {
-        self.sectors += other.sectors;
-        self.lines += other.lines;
-        self.useful_bytes += other.useful_bytes;
-        self.moved_bytes += other.moved_bytes;
-    }
 }
 
 /// Coalesce one warp access: each active lane supplies the address of an
 /// `size`-byte element; the hardware merges them into 32-byte sector
 /// transactions.
 ///
-/// `addrs` holds one entry per lane; `None` marks an inactive lane
-/// (predicated off or beyond the loop bound). An access that straddles a
-/// sector boundary touches both sectors, exactly as on real hardware.
+/// `addrs` holds one entry per lane of one warp (at most [`WARP_LANES`]);
+/// `None` marks an inactive lane (predicated off or beyond the loop
+/// bound). `size` is a scalar size of at most one sector, so an access
+/// that straddles a sector boundary touches exactly two sectors, as on
+/// real hardware. The sectors are gathered in a stack buffer and only
+/// sorted when the lanes' addresses are not already non-decreasing, which
+/// dense and affine accesses always are.
 pub fn coalesce(addrs: &[Option<u64>], size: u32) -> CoalesceResult {
-    let mut sectors: Vec<u64> = Vec::with_capacity(addrs.len() * 2);
-    let mut lines: Vec<u64> = Vec::with_capacity(addrs.len());
+    assert!(
+        addrs.len() <= WARP_LANES && u64::from(size) <= SECTOR_BYTES,
+        "coalesce takes one warp ({} lanes) of scalar accesses ({size} B)",
+        addrs.len()
+    );
+    let size = u64::from(size);
+    let mut buf = [0u64; 2 * WARP_LANES];
+    let mut n = 0;
+    let mut sorted = true;
     let mut useful = 0u64;
-    for addr in addrs.iter().flatten() {
-        useful += size as u64;
+    for &addr in addrs.iter().flatten() {
+        useful += size;
         let first = addr / SECTOR_BYTES;
-        let last = (addr + size as u64 - 1) / SECTOR_BYTES;
-        for s in first..=last {
-            sectors.push(s);
+        let last = (addr + size - 1) / SECTOR_BYTES;
+        if n > 0 && first < buf[n - 1] {
+            sorted = false;
         }
-        let lfirst = addr / LINE_BYTES;
-        let llast = (addr + size as u64 - 1) / LINE_BYTES;
-        for l in lfirst..=llast {
-            lines.push(l);
+        buf[n] = first;
+        n += 1;
+        if last != first {
+            buf[n] = last;
+            n += 1;
         }
     }
-    sectors.sort_unstable();
-    sectors.dedup();
-    lines.sort_unstable();
-    lines.dedup();
-    CoalesceResult {
-        sectors: sectors.len() as u32,
-        lines: lines.len() as u32,
-        useful_bytes: useful,
-        moved_bytes: sectors.len() as u64 * SECTOR_BYTES,
+    let sectors = &mut buf[..n];
+    if !sorted {
+        sectors.sort_unstable();
     }
-}
-
-/// Coalesce a strided warp access analytically: `lanes` active lanes reading
-/// `size`-byte elements starting at `base` with a byte stride of `stride`.
-///
-/// Fast path used by bulk device operations that would otherwise synthesize
-/// thousands of identical per-lane address vectors.
-pub fn coalesce_strided(base: u64, stride: u64, size: u32, lanes: u32) -> CoalesceResult {
-    if lanes == 0 {
-        return CoalesceResult::default();
-    }
-    if lanes <= 64 && stride != size as u64 {
-        // Small irregular case: fall back to the exact path.
-        let addrs: Vec<Option<u64>> = (0..lanes as u64).map(|l| Some(base + l * stride)).collect();
-        return coalesce(&addrs, size);
-    }
-    let useful = lanes as u64 * size as u64;
-    let (sectors, lines) = if stride == size as u64 {
-        // Dense: the warp touches one contiguous byte range.
-        let lo = base;
-        let hi = base + useful;
-        let sectors = hi.div_ceil(SECTOR_BYTES) - lo / SECTOR_BYTES;
-        let lines = hi.div_ceil(LINE_BYTES) - lo / LINE_BYTES;
-        (sectors, lines)
-    } else if stride >= SECTOR_BYTES {
-        // Fully scattered: one (or two, if straddling) sectors per lane.
-        let per_lane = if base % SECTOR_BYTES + size as u64 > SECTOR_BYTES {
-            2
-        } else {
-            1
-        };
-        (
-            lanes as u64 * per_lane,
-            lanes as u64, // approximately one line per lane
-        )
+    let distinct = if n == 0 {
+        0
     } else {
-        // Partially dense: lanes per sector = sector / stride.
-        let lanes_per_sector = (SECTOR_BYTES / stride).max(1);
-        let sectors = (lanes as u64).div_ceil(lanes_per_sector);
-        let lanes_per_line = (LINE_BYTES / stride).max(1);
-        (sectors, (lanes as u64).div_ceil(lanes_per_line))
+        1 + sectors.windows(2).filter(|w| w[0] != w[1]).count()
     };
     CoalesceResult {
-        sectors: sectors as u32,
-        lines: lines as u32,
+        sectors: distinct as u32,
         useful_bytes: useful,
-        moved_bytes: sectors * SECTOR_BYTES,
+        moved_bytes: distinct as u64 * SECTOR_BYTES,
     }
 }
 
@@ -136,7 +94,6 @@ mod tests {
         let a = lanes((0..32).map(|l| 0x1000 + l * 4));
         let r = coalesce(&a, 4);
         assert_eq!(r.sectors, 4);
-        assert_eq!(r.lines, 1);
         assert_eq!(r.useful_bytes, 128);
         assert!((r.efficiency() - 1.0).abs() < 1e-12);
     }
@@ -146,7 +103,6 @@ mod tests {
         let a = lanes((0..32).map(|l| 0x2000 + l * 8));
         let r = coalesce(&a, 8);
         assert_eq!(r.sectors, 8);
-        assert_eq!(r.lines, 2);
         assert!((r.efficiency() - 1.0).abs() < 1e-12);
     }
 
@@ -183,6 +139,13 @@ mod tests {
     }
 
     #[test]
+    fn descending_lanes_sort_before_counting() {
+        // The same dense warp, lanes in reverse order: still 8 sectors.
+        let a = lanes((0..32).rev().map(|l| 0x2000 + l * 8));
+        assert_eq!(coalesce(&a, 8).sectors, 8);
+    }
+
+    #[test]
     fn empty_warp() {
         let r = coalesce(&[], 8);
         assert_eq!(r, CoalesceResult::default());
@@ -190,33 +153,8 @@ mod tests {
     }
 
     #[test]
-    fn strided_fast_path_matches_exact_dense() {
-        let exact = coalesce(&lanes((0..32).map(|l| 0x7000 + l * 8)), 8);
-        let fast = coalesce_strided(0x7000, 8, 8, 32);
-        assert_eq!(exact.sectors, fast.sectors);
-        assert_eq!(exact.useful_bytes, fast.useful_bytes);
-    }
-
-    #[test]
-    fn strided_fast_path_matches_exact_scattered() {
-        let exact = coalesce(&lanes((0..32).map(|l| 0x9000 + l * 64)), 4);
-        let fast = coalesce_strided(0x9000, 64, 4, 32);
-        assert_eq!(exact.sectors, fast.sectors);
-    }
-
-    #[test]
-    fn strided_large_lane_count_dense() {
-        let r = coalesce_strided(0, 8, 8, 1024);
-        assert_eq!(r.useful_bytes, 8192);
-        assert_eq!(r.sectors, 256);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = coalesce(&lanes((0..32).map(|l| l * 4)), 4);
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.sectors, 2 * b.sectors);
-        assert_eq!(a.useful_bytes, 2 * b.useful_bytes);
+    #[should_panic(expected = "one warp")]
+    fn more_than_a_warp_is_refused() {
+        coalesce(&lanes(0..33), 4);
     }
 }

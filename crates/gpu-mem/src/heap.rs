@@ -1,5 +1,6 @@
 use crate::Scalar;
 use serde::{Deserialize, Serialize};
+use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 
 /// Base of the simulated device heap. A large, distinctive constant so that
@@ -15,6 +16,10 @@ const MIN_ALIGN: u64 = 256;
 /// exist to serve the free-then-realloc churn of iterative kernels, not to
 /// hoard memory away from other teams.
 const RING_CAP: usize = 8;
+
+/// The region hint's value when no access has hit since the last alloc
+/// or free.
+const NO_HINT: usize = usize::MAX;
 
 /// The null device pointer.
 pub const NULL_DEVICE_PTR: DevicePtr = DevicePtr(0);
@@ -186,6 +191,10 @@ struct CachedBlock {
 /// counter plus a hole-size multiset replace the historical O(n) free-list
 /// scans on the OOM path and in [`DeviceMemory::fragmentation`] /
 /// [`DeviceMemory::largest_free_block`].
+///
+/// Live regions sit in an address-ordered `Vec`. Every access resolves its
+/// region once: the region of the last hit is tried first (consecutive
+/// accesses mostly stay in one array), and a miss binary-searches.
 pub struct DeviceMemory {
     capacity: u64,
     free_list: Vec<(u64, u64)>, // (start, len), address-ordered, non-adjacent
@@ -193,7 +202,10 @@ pub struct DeviceMemory {
     free_list_bytes: u64,
     /// Multiset of free-list hole lengths: len -> count.
     hole_sizes: BTreeMap<u64, u32>,
-    regions: BTreeMap<u64, Region>, // keyed by start address
+    regions: Vec<Region>, // address-ordered, disjoint
+    /// Index into `regions` of the last region an access or lookup hit;
+    /// every alloc and free resets it to [`NO_HINT`].
+    hint: Cell<usize>,
     next_region: u32,
     stats: HeapStats,
     generation: u64,
@@ -222,7 +234,8 @@ impl DeviceMemory {
             free_list: vec![(HEAP_BASE, capacity)],
             free_list_bytes: capacity,
             hole_sizes,
-            regions: BTreeMap::new(),
+            regions: Vec::new(),
+            hint: Cell::new(NO_HINT),
             next_region: 1,
             stats: HeapStats::default(),
             generation: 0,
@@ -234,8 +247,8 @@ impl DeviceMemory {
         }
     }
 
-    /// Monotone counter bumped on every allocation or free; lets callers
-    /// cache region layouts and detect staleness cheaply.
+    /// Monotone counter bumped on every allocation or free: the age unit
+    /// of [`DeviceMemory::prune_stale`].
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -543,8 +556,9 @@ impl DeviceMemory {
             Backing::Materialized => Some(vec![0u8; alen as usize]),
             Backing::Reserved => None,
         };
+        let pos = self.regions.partition_point(|r| r.info.start < start);
         self.regions.insert(
-            start,
+            pos,
             Region {
                 info: RegionInfo {
                     id,
@@ -556,6 +570,7 @@ impl DeviceMemory {
                 data,
             },
         );
+        self.hint.set(NO_HINT);
         self.stats.bytes_in_use += alen;
         self.stats.peak_bytes_in_use = self.stats.peak_bytes_in_use.max(self.stats.bytes_in_use);
         self.stats.live_allocations += 1;
@@ -591,9 +606,11 @@ impl DeviceMemory {
 
     /// Free the allocation starting at `ptr`.
     pub fn free(&mut self, ptr: DevicePtr) -> Result<(), AllocError> {
-        let Some(region) = self.regions.remove(&ptr.0) else {
+        let Ok(pos) = self.regions.binary_search_by_key(&ptr.0, |r| r.info.start) else {
             return Err(AllocError::InvalidFree { addr: ptr.0 });
         };
+        let region = self.regions.remove(pos);
+        self.hint.set(NO_HINT);
         let (start, len, tag) = (region.info.start, region.info.len, region.info.tag);
         self.stats.bytes_in_use -= len;
         self.stats.live_allocations -= 1;
@@ -617,7 +634,7 @@ impl DeviceMemory {
         self.flush_tag_cache(tag);
         let starts: Vec<u64> = self
             .regions
-            .values()
+            .iter()
             .filter(|r| r.info.tag == tag)
             .map(|r| r.info.start)
             .collect();
@@ -633,14 +650,28 @@ impl DeviceMemory {
 
     /// Look up the region containing `addr`.
     pub fn region_of(&self, addr: u64) -> Option<RegionInfo> {
-        let (_, region) = self.regions.range(..=addr).next_back()?;
-        let info = region.info;
-        (addr < info.start + info.len).then_some(info)
+        self.find(addr).map(|i| self.regions[i].info)
     }
 
-    /// All live regions, address-ordered.
-    pub fn live_regions(&self) -> Vec<RegionInfo> {
-        self.regions.values().map(|r| r.info).collect()
+    /// Index of the live region containing `addr`: the last hit if it
+    /// still holds `addr`, else a binary search (which becomes the hint).
+    fn find(&self, addr: u64) -> Option<usize> {
+        let hint = self.hint.get();
+        if let Some(r) = self.regions.get(hint) {
+            if r.info.start <= addr && addr - r.info.start < r.info.len {
+                return Some(hint);
+            }
+        }
+        let i = self
+            .regions
+            .partition_point(|r| r.info.start <= addr)
+            .checked_sub(1)?;
+        let info = &self.regions[i].info;
+        if addr - info.start >= info.len {
+            return None;
+        }
+        self.hint.set(i);
+        Some(i)
     }
 
     /// Check every allocator invariant, returning a description of the
@@ -688,8 +719,17 @@ impl DeviceMemory {
                 self.largest_free_block()
             ));
         }
+        // Regions: address-ordered (lookups binary-search them).
+        for w in self.regions.windows(2) {
+            if w[0].info.start >= w[1].info.start {
+                return Err(format!(
+                    "regions out of address order: {:#x} then {:#x}",
+                    w[0].info.start, w[1].info.start
+                ));
+            }
+        }
         // Region accounting: bytes in use and per-tag sums.
-        let region_bytes: u64 = self.regions.values().map(|r| r.info.len).sum();
+        let region_bytes: u64 = self.regions.iter().map(|r| r.info.len).sum();
         if region_bytes != self.stats.bytes_in_use {
             return Err(format!(
                 "bytes_in_use {} != live region bytes {region_bytes}",
@@ -697,7 +737,7 @@ impl DeviceMemory {
             ));
         }
         let mut scan_tags: BTreeMap<u32, u64> = BTreeMap::new();
-        for r in self.regions.values() {
+        for r in &self.regions {
             *scan_tags.entry(r.info.tag).or_insert(0) += r.info.len;
         }
         for (&tag, &bytes) in self.tag_bytes.iter() {
@@ -741,7 +781,7 @@ impl DeviceMemory {
         // holes, and parked blocks are disjoint and leave no gaps.
         let mut spans: Vec<(u64, u64)> = self
             .regions
-            .values()
+            .iter()
             .map(|r| (r.info.start, r.info.len))
             .chain(self.free_list.iter().copied())
             .chain(self.team_caches.values().flat_map(|c| {
@@ -768,71 +808,90 @@ impl DeviceMemory {
         Ok(())
     }
 
-    fn resolve(&self, addr: u64, size: u64) -> Result<(u64, u64), AccessError> {
+    /// The region holding an access of `size` bytes at `addr`, and the
+    /// access's offset into it.
+    fn resolve(&self, addr: u64, size: u64) -> Result<(usize, usize), AccessError> {
         if addr == 0 {
             return Err(AccessError::Null);
         }
-        let (start, region) = self
-            .regions
-            .range(..=addr)
-            .next_back()
-            .ok_or(AccessError::Unmapped { addr })?;
-        let info = &region.info;
-        if addr >= info.start + info.len {
-            return Err(AccessError::Unmapped { addr });
-        }
-        if addr + size > info.start + info.len {
+        let i = self.find(addr).ok_or(AccessError::Unmapped { addr })?;
+        let region = &self.regions[i];
+        let region_end = region.info.start + region.info.len;
+        if addr + size > region_end {
             return Err(AccessError::OutOfBounds {
                 addr,
                 size,
-                region_end: info.start + info.len,
+                region_end,
             });
         }
         if region.data.is_none() {
             return Err(AccessError::Reserved { addr });
         }
-        Ok((*start, addr - start))
+        Ok((i, (addr - region.info.start) as usize))
     }
 
     /// Load a scalar from device memory.
     pub fn load<T: Scalar>(&self, ptr: DevicePtr) -> Result<T, AccessError> {
-        let (start, off) = self.resolve(ptr.0, T::SIZE as u64)?;
-        let data = self.regions[&start]
+        let (i, off) = self.resolve(ptr.0, T::SIZE as u64)?;
+        let data = self.regions[i]
             .data
-            .as_ref()
+            .as_deref()
             .expect("resolved materialized");
-        let off = off as usize;
         Ok(T::load_le(&data[off..off + T::SIZE]))
     }
 
     /// Store a scalar to device memory.
     pub fn store<T: Scalar>(&mut self, ptr: DevicePtr, v: T) -> Result<(), AccessError> {
-        let (start, off) = self.resolve(ptr.0, T::SIZE as u64)?;
-        let data = self
-            .regions
-            .get_mut(&start)
-            .expect("resolved region exists")
+        let (i, off) = self.resolve(ptr.0, T::SIZE as u64)?;
+        let data = self.regions[i]
             .data
-            .as_mut()
+            .as_deref_mut()
             .expect("resolved materialized");
-        let off = off as usize;
         v.store_le(&mut data[off..off + T::SIZE]);
         Ok(())
     }
 
-    /// Copy a typed slice from host to device.
+    /// Copy a typed slice from host to device. Each region the slice
+    /// covers is resolved once, not once per element. The outcome is that
+    /// of storing the elements one by one: an element past its region's
+    /// end resolves afresh, and a failing element leaves the ones before
+    /// it stored.
     pub fn write_slice<T: Scalar>(&mut self, ptr: DevicePtr, src: &[T]) -> Result<(), AccessError> {
-        for (i, v) in src.iter().enumerate() {
-            self.store(ptr.elem_add::<T>(i as u64), *v)?;
+        let mut done = 0;
+        while done < src.len() {
+            let (i, off) = self.resolve(ptr.elem_add::<T>(done as u64).0, T::SIZE as u64)?;
+            let data = self.regions[i]
+                .data
+                .as_deref_mut()
+                .expect("resolved materialized");
+            let n = ((data.len() - off) / T::SIZE).min(src.len() - done);
+            let dst = data[off..off + n * T::SIZE].chunks_exact_mut(T::SIZE);
+            for (v, bytes) in src[done..done + n].iter().zip(dst) {
+                v.store_le(bytes);
+            }
+            done += n;
         }
         Ok(())
     }
 
-    /// Copy a typed slice from device to host.
+    /// Copy a typed slice from device to host, resolving each region it
+    /// covers once (see [`DeviceMemory::write_slice`]).
     pub fn read_slice<T: Scalar>(&self, ptr: DevicePtr, len: usize) -> Result<Vec<T>, AccessError> {
-        (0..len)
-            .map(|i| self.load(ptr.elem_add::<T>(i as u64)))
-            .collect()
+        let mut out = Vec::new();
+        while out.len() < len {
+            let (i, off) = self.resolve(ptr.elem_add::<T>(out.len() as u64).0, T::SIZE as u64)?;
+            let data = self.regions[i]
+                .data
+                .as_deref()
+                .expect("resolved materialized");
+            let n = ((data.len() - off) / T::SIZE).min(len - out.len());
+            out.extend(
+                data[off..off + n * T::SIZE]
+                    .chunks_exact(T::SIZE)
+                    .map(T::load_le),
+            );
+        }
+        Ok(out)
     }
 
     /// Copy raw bytes from host to device.
@@ -931,6 +990,68 @@ mod tests {
         assert_eq!(mem.load::<u64>(tail).unwrap(), 0xdead_beef_cafe_f00d);
         // A straddling read inside the region also works now.
         assert_eq!(mem.load::<u64>(p.byte_add(12)).unwrap(), 0);
+    }
+
+    /// The last-hit hint never answers for a region that is gone: a freed
+    /// block's address is unmapped until a new allocation holds it, and
+    /// then resolves to the new region.
+    #[test]
+    fn region_hint_follows_allocs_and_frees() {
+        let mut mem = DeviceMemory::new(1 << 20);
+        let a = mem.alloc(64).unwrap();
+        let b = mem.alloc(64).unwrap();
+        mem.store::<u64>(a, 1).unwrap();
+        mem.free(a).unwrap();
+        assert_eq!(
+            mem.load::<u64>(a).unwrap_err(),
+            AccessError::Unmapped { addr: a.0 }
+        );
+        mem.store::<u64>(b, 2).unwrap();
+        let c = mem.alloc(1).unwrap();
+        assert_eq!(c, a, "first fit reuses the freed block");
+        assert_eq!(mem.load::<u64>(c).unwrap(), 0);
+        assert_eq!(mem.load::<u64>(b).unwrap(), 2);
+        assert_ne!(mem.region_of(c.0).unwrap().id, RegionId(1));
+    }
+
+    /// Slice copies resolve once per region but behave as element-by-
+    /// element accesses: a copy may run on into the adjacent allocation,
+    /// and one that runs off the end stores its in-bounds prefix and
+    /// reports the first element that does not fit.
+    #[test]
+    fn slice_copies_match_element_accesses() {
+        let mut mem = DeviceMemory::new(1 << 20);
+        let a = mem.alloc(256).unwrap();
+        let b = mem.alloc(256).unwrap();
+        assert_eq!(b.0, a.0 + 256);
+        let src: Vec<u64> = (0..48).collect();
+        mem.write_slice(a, &src).unwrap();
+        assert_eq!(mem.read_slice::<u64>(a, 48).unwrap(), src);
+        assert_eq!(mem.load::<u64>(b.byte_add(8)).unwrap(), 33);
+        let end = b.0 + 256;
+        assert_eq!(
+            mem.write_slice(b.byte_add(128), &src).unwrap_err(),
+            AccessError::Unmapped { addr: end }
+        );
+        assert_eq!(mem.load::<u64>(b.byte_add(248)).unwrap(), 15);
+        assert_eq!(
+            mem.read_slice::<u64>(b.byte_add(128), 17).unwrap_err(),
+            AccessError::Unmapped { addr: end }
+        );
+        assert_eq!(
+            mem.write_slice(b.byte_add(252), &[1u64]).unwrap_err(),
+            AccessError::OutOfBounds {
+                addr: b.0 + 252,
+                size: 8,
+                region_end: end
+            }
+        );
+        // Empty copies touch nothing, not even a null pointer.
+        mem.write_slice::<u64>(NULL_DEVICE_PTR, &[]).unwrap();
+        assert!(mem
+            .read_slice::<u64>(NULL_DEVICE_PTR, 0)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -2,9 +2,57 @@
 //! two-level heap allocator's invariants.
 
 use gpu_mem::{
-    coalesce, coalesce_strided, AllocError, Backing, DeviceMemory, DevicePtr, SECTOR_BYTES,
+    coalesce, AccessError, AllocError, Backing, DeviceMemory, DevicePtr, SECTOR_BYTES, WARP_LANES,
 };
 use proptest::prelude::*;
+
+/// The coalescer as it was before its stack-buffer rewrite: collect every
+/// touched sector, sort, dedup. Returns (sectors, useful, moved bytes).
+fn reference_coalesce(addrs: &[Option<u64>], size: u32) -> (u32, u64, u64) {
+    let mut sectors: Vec<u64> = Vec::new();
+    let mut useful = 0u64;
+    for addr in addrs.iter().flatten() {
+        useful += size as u64;
+        let first = addr / SECTOR_BYTES;
+        let last = (addr + size as u64 - 1) / SECTOR_BYTES;
+        sectors.extend(first..=last);
+    }
+    sectors.sort_unstable();
+    sectors.dedup();
+    (
+        sectors.len() as u32,
+        useful,
+        sectors.len() as u64 * SECTOR_BYTES,
+    )
+}
+
+/// One warp's lane addresses in the shape `order` names: 0 affine
+/// ascending, 1 affine descending, 2 scattered over a small pool (so
+/// lanes repeat addresses), 3 just below sector ends (so wide accesses
+/// straddle). Lanes whose `active` entry is 0 are predicated off.
+fn warp(
+    order: u8,
+    lanes: usize,
+    base: u64,
+    stride: u64,
+    pool: &[u64],
+    active: &[u8],
+) -> Vec<Option<u64>> {
+    (0..lanes)
+        .map(|l| {
+            let addr = match order {
+                0 => base + l as u64 * stride,
+                1 => base + (lanes - 1 - l) as u64 * stride,
+                2 => base + pool[l],
+                _ => {
+                    (base / SECTOR_BYTES + 1 + l as u64 * (stride / 8 + 1)) * SECTOR_BYTES
+                        - pool[l] % 8
+                }
+            };
+            (active[l] != 0).then_some(addr)
+        })
+        .collect()
+}
 
 proptest! {
     /// Live allocations never overlap and stay inside the heap, across an
@@ -86,20 +134,19 @@ proptest! {
         }
     }
 
-    /// The strided fast path agrees with the exact path.
+    /// The stack-buffer coalescer agrees with the sort-and-dedup
+    /// reference on every warp shape: 0–32 lanes, inactive lanes, sizes
+    /// 1–8, duplicates, straddles, ascending, descending and scattered.
     #[test]
-    fn strided_fast_path_is_exact(base in 0u64..100_000, stride in prop::sample::select(vec![4u64, 8, 16, 32, 64, 256]), lanes in 1u32..64, size in prop::sample::select(vec![4u32, 8])) {
-        // Fast path only specializes aligned element streams; compare there.
-        prop_assume!(stride >= size as u64);
-        let exact = {
-            let addrs: Vec<Option<u64>> = (0..lanes as u64).map(|l| Some(base + l * stride)).collect();
-            coalesce(&addrs, size)
-        };
-        let fast = coalesce_strided(base, stride, size, lanes);
-        prop_assert_eq!(exact.useful_bytes, fast.useful_bytes);
-        if lanes <= 64 {
-            prop_assert_eq!(exact.sectors, fast.sectors);
-        }
+    fn coalesce_matches_reference(
+        (order, lanes, base, size) in (0u8..4, 0usize..WARP_LANES + 1, 1u64..100_000, prop::sample::select(vec![1u32, 2, 4, 8])),
+        stride in prop::sample::select(vec![0u64, 1, 2, 4, 8, 12, 16, 24, 32, 40, 64, 256]),
+        pool in prop::collection::vec(0u64..512, WARP_LANES),
+        active in prop::collection::vec(0u8..4, WARP_LANES),
+    ) {
+        let addrs = warp(order, lanes, base, stride, &pool, &active);
+        let r = coalesce(&addrs, size);
+        prop_assert_eq!((r.sectors, r.useful_bytes, r.moved_bytes), reference_coalesce(&addrs, size));
     }
 
     /// Reserved allocations consume capacity exactly like materialized
@@ -152,18 +199,87 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
+/// Allocations are 256-byte aligned and their regions span the aligned
+/// length, every byte of it backed.
+const ALIGN: u64 = 256;
+
+/// The script's own model of one live region.
+#[derive(Debug, Clone, Copy)]
+struct Live {
+    ptr: DevicePtr,
+    len: u64,
+    tag: u32,
+}
+
+/// What an access of `size` bytes at `addr` must give, by the model.
+fn predict(live: &[Live], addr: u64, size: u64) -> Result<(), AccessError> {
+    if addr == 0 {
+        return Err(AccessError::Null);
+    }
+    match live
+        .iter()
+        .find(|r| r.ptr.0 <= addr && addr < r.ptr.0 + r.len)
+    {
+        None => Err(AccessError::Unmapped { addr }),
+        Some(r) if addr + size > r.ptr.0 + r.len => Err(AccessError::OutOfBounds {
+            addr,
+            size,
+            region_end: r.ptr.0 + r.len,
+        }),
+        Some(_) => Ok(()),
+    }
+}
+
+/// Load and store at `addr` (one byte, or a `u16` when `wide`) and check
+/// both against the model.
+fn probe(mem: &mut DeviceMemory, live: &[Live], addr: u64, wide: bool) {
+    let ptr = DevicePtr(addr);
+    let (load, store, size) = if wide {
+        let load = mem.load::<u16>(ptr).map(drop);
+        (load, mem.store::<u16>(ptr, 0xa5a5), 2)
+    } else {
+        let load = mem.load::<u8>(ptr).map(drop);
+        (load, mem.store::<u8>(ptr, 0xa5), 1)
+    };
+    let want = predict(live, addr, size);
+    assert_eq!(load, want, "load of {size} B at {addr:#x}");
+    assert_eq!(store, want, "store of {size} B at {addr:#x}");
+}
+
+/// Probe the access path after an op: inside the first and the newest
+/// live region, at their last byte (alone and straddling the end), one
+/// byte past their end, and at every start the op just freed.
+fn probe_accesses(mem: &mut DeviceMemory, live: &[Live], freed: &[u64]) {
+    for r in [live.first(), live.last()].into_iter().flatten() {
+        let end = r.ptr.0 + r.len;
+        probe(mem, live, r.ptr.0 + r.len / 2, false);
+        probe(mem, live, end - 1, false);
+        probe(mem, live, end - 1, true);
+        probe(mem, live, end, false);
+    }
+    for &start in freed {
+        probe(mem, live, start, false);
+    }
+}
+
 /// Run a script against a fresh heap, validating after every op and
-/// checking the generation counter never moves backwards. Returns the
-/// heap with all remaining live pointers freed (and validated).
+/// checking the generation counter never moves backwards, and probing
+/// loads and stores against the script's model of live regions. Returns
+/// the heap with all remaining live pointers freed (and validated).
 fn run_script(ops: &[Op], free_lists_at_start: bool) -> DeviceMemory {
     let mut mem = DeviceMemory::new(CAPACITY);
     mem.set_free_lists(free_lists_at_start);
-    let mut live: Vec<DevicePtr> = Vec::new();
+    let mut live: Vec<Live> = Vec::new();
     let mut last_generation = mem.generation();
     for op in ops {
+        let mut freed = Vec::new();
         match op {
             Op::Alloc { len, tag } => match mem.alloc_tagged(*len, Backing::Materialized, *tag) {
-                Ok(ptr) => live.push(ptr),
+                Ok(ptr) => live.push(Live {
+                    ptr,
+                    len: len.div_ceil(ALIGN) * ALIGN,
+                    tag: *tag,
+                }),
                 Err(AllocError::OutOfMemory { free, .. }) => {
                     // The OOM report's `free` is the incremental counter;
                     // it must agree with the heap's own view.
@@ -173,14 +289,16 @@ fn run_script(ops: &[Op], free_lists_at_start: bool) -> DeviceMemory {
             },
             Op::Free { idx } => {
                 if !live.is_empty() {
-                    let ptr = live.swap_remove(idx % live.len());
-                    mem.free(ptr).expect("live pointer frees cleanly");
+                    let r = live.swap_remove(idx % live.len());
+                    mem.free(r.ptr).expect("live pointer frees cleanly");
+                    freed.push(r.ptr.0);
                 }
             }
             Op::FreeByTag { tag } => {
-                mem.free_by_tag(*tag);
-                // Anything the allocator no longer knows is gone.
-                live.retain(|p| mem.region_of(p.0).is_some());
+                let n = mem.free_by_tag(*tag);
+                freed.extend(live.iter().filter(|r| r.tag == *tag).map(|r| r.ptr.0));
+                live.retain(|r| r.tag != *tag);
+                assert_eq!(n, freed.len(), "free_by_tag frees the tag's regions");
             }
             Op::SetFreeLists { enabled } => mem.set_free_lists(*enabled),
             Op::PruneStale => {
@@ -188,6 +306,7 @@ fn run_script(ops: &[Op], free_lists_at_start: bool) -> DeviceMemory {
             }
         }
         mem.debug_validate().expect("heap invariants hold after op");
+        probe_accesses(&mut mem, &live, &freed);
         let generation = mem.generation();
         assert!(
             generation >= last_generation,
@@ -195,8 +314,8 @@ fn run_script(ops: &[Op], free_lists_at_start: bool) -> DeviceMemory {
         );
         last_generation = generation;
     }
-    for ptr in live {
-        mem.free(ptr).expect("teardown free succeeds");
+    for r in live {
+        mem.free(r.ptr).expect("teardown free succeeds");
         mem.debug_validate()
             .expect("heap invariants hold during teardown");
     }

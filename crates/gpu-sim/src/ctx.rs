@@ -1,5 +1,5 @@
 use crate::trace::{MixedSeg, Phase, TeamTrace};
-use gpu_mem::{coalesce, AccessError, AllocError, DeviceMemory, DevicePtr, Scalar};
+use gpu_mem::{coalesce, AccessError, AllocError, DeviceMemory, DevicePtr, Scalar, WARP_LANES};
 
 /// Hook through which device code reaches the host (RPC). The offload
 /// runtime installs an implementation backed by `host-rpc`; `service` keys
@@ -163,33 +163,14 @@ struct TeamInner<'g> {
     shared: Vec<u8>,
     shared_limit: u64,
     default_tag: u32,
-    /// Snapshot of live regions: (start, end, tag, len), sorted by start.
-    snapshot: Vec<(u64, u64, u32, u64)>,
-    snapshot_gen: u64,
 }
 
 impl<'g> TeamInner<'g> {
-    fn refresh_snapshot(&mut self) {
-        if self.snapshot_gen == self.mem.generation() && !self.snapshot.is_empty() {
-            return;
-        }
-        self.snapshot = self
-            .mem
-            .live_regions()
-            .into_iter()
-            .map(|r| (r.start, r.start + r.len, r.tag, r.len))
-            .collect();
-        self.snapshot_gen = self.mem.generation();
-    }
-
-    /// Region (tag, start, len) containing `addr`, from the snapshot.
+    /// Tag and footprint of the region holding `addr` when asked: folds
+    /// ask after the round, so an access into memory freed later in the
+    /// round counts toward whatever holds its address by then.
     fn region_meta(&self, addr: u64) -> Option<(u32, u64, u64)> {
-        let idx = self.snapshot.partition_point(|&(s, _, _, _)| s <= addr);
-        if idx == 0 {
-            return None;
-        }
-        let (s, e, tag, len) = self.snapshot[idx - 1];
-        (addr < e).then_some((tag, s, len))
+        self.mem.region_of(addr).map(|r| (r.tag, r.start, r.len))
     }
 }
 
@@ -280,7 +261,6 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
         if self.inner.mem.stats().recycled_allocations > recycled_before {
             self.scratch.alloc_fast_ops += 1.0;
         }
-        self.inner.refresh_snapshot();
         Ok(p)
     }
 
@@ -299,7 +279,6 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
         if self.inner.mem.stats().recycled_allocations > recycled_before {
             self.scratch.alloc_fast_ops += 1.0;
         }
-        self.inner.refresh_snapshot();
         Ok(p)
     }
 
@@ -308,7 +287,6 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
         self.inner.mem.free(p)?;
         self.scratch.insts += cost::MALLOC;
         self.scratch.alloc_ops += 1.0;
-        self.inner.refresh_snapshot();
         Ok(())
     }
 
@@ -381,18 +359,15 @@ impl<'g> TeamCtx<'g> {
         shared_limit: u64,
     ) -> Self {
         assert!(lane_count >= 1, "a team needs at least one thread");
-        let warp_count = lane_count.div_ceil(32);
-        let mut inner = TeamInner {
+        let warp_count = lane_count.div_ceil(WARP_LANES as u32);
+        let inner = TeamInner {
             mem,
             host_call: None,
             rpc_services: None,
             shared: Vec::new(),
             shared_limit,
             default_tag,
-            snapshot: Vec::new(),
-            snapshot_gen: u64::MAX,
         };
-        inner.refresh_snapshot();
         let mut trace = TeamTrace {
             phases: Vec::new(),
             warp_count,
@@ -477,7 +452,6 @@ impl<'g> TeamCtx<'g> {
         f: impl FnOnce(&mut LaneCtx<'_, 'g>) -> Result<R, KernelError>,
     ) -> Result<R, KernelError> {
         self.check_poisoned()?;
-        self.inner.refresh_snapshot();
         self.scratches[0].clear();
         let result = {
             let mut lane = LaneCtx {
@@ -508,7 +482,6 @@ impl<'g> TeamCtx<'g> {
         mut f: impl FnMut(u64, &mut LaneCtx<'_, 'g>) -> Result<(), KernelError>,
     ) -> Result<(), KernelError> {
         self.check_poisoned()?;
-        self.inner.refresh_snapshot();
         let lanes = self.lane_count as u64;
         let warp_count = self.trace.warp_count as usize;
         let mut accums = vec![MixedSeg::default(); warp_count];
@@ -643,10 +616,9 @@ impl<'g> TeamCtx<'g> {
     /// of each lane coalesces positionally (lockstep assumption).
     fn fold_round(&mut self, accums: &mut [MixedSeg]) {
         let lanes = self.lane_count as usize;
-        let mut addrs: Vec<Option<u64>> = Vec::with_capacity(32);
         for (w, accum) in accums.iter_mut().enumerate() {
-            let lane_lo = w * 32;
-            let lane_hi = (lane_lo + 32).min(lanes);
+            let lane_lo = w * WARP_LANES;
+            let lane_hi = (lane_lo + WARP_LANES).min(lanes);
             if lane_lo >= lanes {
                 break;
             }
@@ -674,36 +646,33 @@ impl<'g> TeamCtx<'g> {
 
             // Shared memory: a warp access replays once per conflicting
             // bank; charge the extra replays as issue work.
-            let mut bank_offsets: Vec<u32> = Vec::with_capacity(32);
+            let mut bank_offsets = [0u32; WARP_LANES];
             for k in 0..max_shared_recs {
-                bank_offsets.clear();
+                let mut n = 0;
                 for s in warp_scratches {
                     if let Some(&off) = s.shared_recs.get(k) {
-                        bank_offsets.push(off);
+                        bank_offsets[n] = off;
+                        n += 1;
                     }
                 }
-                let degree = bank_conflict_degree(&bank_offsets);
+                let degree = bank_conflict_degree(&bank_offsets[..n]);
                 accum.insts += (degree - 1) as f64;
             }
 
             // Memory: positional coalescing across lanes.
+            let mut addrs = [None; WARP_LANES];
+            let addrs = &mut addrs[..warp_scratches.len()];
             for k in 0..max_recs {
-                addrs.clear();
                 let mut size = 0u32;
                 let mut first_addr = None;
-                for s in warp_scratches {
-                    match s.recs.get(k) {
-                        Some(rec) => {
-                            addrs.push(Some(rec.addr));
-                            size = size.max(rec.size as u32);
-                            if first_addr.is_none() {
-                                first_addr = Some(rec.addr);
-                            }
-                        }
-                        None => addrs.push(None),
-                    }
+                for (slot, s) in addrs.iter_mut().zip(warp_scratches) {
+                    *slot = s.recs.get(k).map(|rec| {
+                        size = size.max(rec.size as u32);
+                        rec.addr
+                    });
+                    first_addr = first_addr.or(*slot);
                 }
-                let r = coalesce(&addrs, size);
+                let r = coalesce(addrs, size);
                 accum.sectors += r.sectors as u64;
                 accum.moved_bytes += r.moved_bytes as f64;
                 accum.useful_bytes += r.useful_bytes as f64;
