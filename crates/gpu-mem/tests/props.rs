@@ -6,8 +6,8 @@ use gpu_mem::{
 };
 use proptest::prelude::*;
 
-/// The coalescer as it was before its stack-buffer rewrite: collect every
-/// touched sector, sort, dedup. Returns (sectors, useful, moved bytes).
+/// Reference coalescer: collect every touched sector, sort, dedup.
+/// Returns (sectors, useful, moved bytes).
 fn reference_coalesce(addrs: &[Option<u64>], size: u32) -> (u32, u64, u64) {
     let mut sectors: Vec<u64> = Vec::new();
     let mut useful = 0u64;
