@@ -165,15 +165,6 @@ struct TeamInner<'g> {
     default_tag: u32,
 }
 
-impl<'g> TeamInner<'g> {
-    /// Tag and footprint of the region holding `addr` when asked: folds
-    /// ask after the round, so an access into memory freed later in the
-    /// round counts toward whatever holds its address by then.
-    fn region_meta(&self, addr: u64) -> Option<(u32, u64, u64)> {
-        self.mem.region_of(addr).map(|r| (r.tag, r.start, r.len))
-    }
-}
-
 /// The execution context handed to one lane (thread) of a team.
 ///
 /// All device work flows through this type: global loads/stores are
@@ -603,9 +594,9 @@ impl<'g> TeamCtx<'g> {
             seg.sectors += r.sectors as u64;
             seg.moved_bytes += r.moved_bytes as f64;
             seg.useful_bytes += r.useful_bytes as f64;
-            if let Some((tag, start, len)) = inner.region_meta(rec.addr) {
-                seg.add_region_tag(tag);
-                seg.add_region_footprint(start, len);
+            if let Some(region) = inner.mem.region_of(rec.addr) {
+                seg.add_region_tag(region.tag);
+                seg.add_region_footprint(region.start, region.len);
             }
         }
         seg
@@ -613,7 +604,10 @@ impl<'g> TeamCtx<'g> {
 
     /// Coalesce and fold one round's per-lane records into the phase's
     /// warp accumulators. Lanes are grouped 32 to a warp; the k-th access
-    /// of each lane coalesces positionally (lockstep assumption).
+    /// of each lane coalesces positionally (lockstep assumption). Region
+    /// tags and footprints are looked up here, after the round: an access
+    /// into memory freed later in the round counts toward whatever holds
+    /// its address by then.
     fn fold_round(&mut self, accums: &mut [MixedSeg]) {
         let lanes = self.lane_count as usize;
         for (w, accum) in accums.iter_mut().enumerate() {
@@ -677,9 +671,9 @@ impl<'g> TeamCtx<'g> {
                 accum.moved_bytes += r.moved_bytes as f64;
                 accum.useful_bytes += r.useful_bytes as f64;
                 if let Some(addr) = first_addr {
-                    if let Some((tag, start, len)) = self.inner.region_meta(addr) {
-                        accum.add_region_tag(tag);
-                        accum.add_region_footprint(start, len);
+                    if let Some(region) = self.inner.mem.region_of(addr) {
+                        accum.add_region_tag(region.tag);
+                        accum.add_region_footprint(region.start, region.len);
                     }
                 }
             }
