@@ -768,8 +768,9 @@ pub struct EnsembleCliArgs {
     pub cycle_args: bool,
     /// Utilization sampling interval in device cycles. `--timeline`
     /// enables sampling at [`DEFAULT_SAMPLE_INTERVAL`];
-    /// `--sample-interval <cycles>` sets an explicit interval (and
-    /// implies `--timeline`). `None` disables sampling entirely.
+    /// `--sample-interval <cycles>` sets an explicit interval of at least
+    /// one cycle (and implies `--timeline`). `None` disables sampling
+    /// entirely.
     pub sample_interval: Option<f64>,
     /// Print per-launch progress lines to stderr (`--progress`);
     /// `--quiet` wins when both are given.
@@ -970,7 +971,10 @@ pub fn parse_ensemble_cli(args: &[String]) -> Result<EnsembleCliArgs, CliError> 
                 let cycles: f64 = v
                     .parse()
                     .map_err(|_| CliError::BadValue("--sample-interval", v.clone()))?;
-                if !cycles.is_finite() || cycles <= 0.0 {
+                // Below one cycle the timeline would hold more samples
+                // than the kernel has cycles, and intervals at or below
+                // the timing engine's epsilon break its precondition.
+                if !cycles.is_finite() || cycles < 1.0 {
                     return Err(CliError::BadValue("--sample-interval", v.clone()));
                 }
                 sample_interval = Some(cycles);
@@ -1690,14 +1694,18 @@ module "bench" {
         let cli =
             parse_ensemble_cli(&["-f", "a", "--progress", "--quiet"].map(String::from)).unwrap();
         assert!(cli.progress && cli.quiet);
-        // Non-positive, non-finite and non-numeric intervals are rejected.
-        for bad in ["0", "-5", "nan", "inf", "x"] {
+        // Intervals below one cycle, non-finite and non-numeric ones are
+        // rejected; one cycle is the smallest accepted.
+        for bad in ["0", "-5", "0.5", "1e-9", "1e-10", "nan", "inf", "x"] {
             assert_eq!(
                 parse_ensemble_cli(&["-f", "a", "--sample-interval", bad].map(String::from)),
                 Err(CliError::BadValue("--sample-interval", bad.into())),
                 "interval {bad:?} must be rejected"
             );
         }
+        let cli =
+            parse_ensemble_cli(&["-f", "a", "--sample-interval", "1"].map(String::from)).unwrap();
+        assert_eq!(cli.sample_interval, Some(1.0));
         assert_eq!(
             parse_ensemble_cli(&["-f".into(), "a".into(), "--sample-interval".into()]),
             Err(CliError::MissingValue("--sample-interval"))

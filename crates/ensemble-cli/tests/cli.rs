@@ -93,6 +93,26 @@ fn zero_devices_is_a_usage_error() {
 }
 
 #[test]
+fn sub_cycle_sample_interval_is_a_usage_error() {
+    let f = arg_file("sub-cycle-interval", 1);
+    for interval in ["1e-10", "1e-9", "0.5"] {
+        let out = run(&[
+            "xsbench",
+            "-f",
+            f.to_str().unwrap(),
+            "-n",
+            "1",
+            "--quiet",
+            "--sample-interval",
+            interval,
+        ]);
+        assert_eq!(out.status.code(), Some(2), "interval {interval}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("--sample-interval"), "{err}");
+    }
+}
+
+#[test]
 fn progress_reports_to_stderr_and_quiet_suppresses_it() {
     let f = arg_file("progress", 2);
     let out = run(&["xsbench", "-f", f.to_str().unwrap(), "--progress"]);

@@ -1,6 +1,8 @@
 use crate::trace::BlockTrace;
 use gpu_arch::{occupancy, GpuSpec, LaunchConfig};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Tunables of the timing engine that are not part of the hardware spec.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -540,11 +542,27 @@ struct TeamState {
 
 struct BlockState {
     teams_pending: usize,
-    placed: bool,
-    /// Cycle the block won an SM slot; the watchdog deadline is
-    /// `start_cycle + cycle_budget`.
-    start_cycle: f64,
+    /// SM the block was placed on (`usize::MAX` until placed).
+    sm: usize,
     end_cycle: f64,
+}
+
+/// Utilization-sampling state (pure bookkeeping, like `detail` and
+/// `stalls`). One open window accumulates issue/DRAM work and stall
+/// cycles; each event-loop interval is split analytically across window
+/// boundaries — exact, because fluid rates are constant within an
+/// interval — so sampling never subdivides an event step.
+struct Sampler {
+    interval: f64,
+    /// Cycle the open window started at (the previous boundary).
+    win_start: f64,
+    /// Warp-instructions issued inside the open window.
+    issued: f64,
+    /// Bytes moved inside the open window.
+    dram: f64,
+    /// Stall decomposition of the open window (tracks `stalls`).
+    stall: StallBuckets,
+    timeline: UtilizationTimeline,
 }
 
 /// Run the fluid-rate timing simulation over a set of block traces.
@@ -562,212 +580,313 @@ struct BlockState {
 /// * warps of a team synchronize at phase boundaries; blocks are placed on
 ///   SMs up to the occupancy limit and queue for free slots beyond it.
 pub fn simulate_timing(inputs: &TimingInputs<'_>) -> TimingResult {
-    let spec = inputs.spec;
-    let params = inputs.params;
-    let blocks = inputs.blocks;
-    assert!(!blocks.is_empty(), "timing needs at least one block");
+    let mut engine = Engine::new(inputs);
+    engine.place_blocks();
+    engine.run();
+    engine.finish()
+}
 
-    // --- Static launch-wide factors -------------------------------------
-    let max_warps_per_block = blocks.iter().map(|b| b.warp_count()).max().unwrap().max(1);
-    let max_shared = blocks.iter().map(|b| b.shared_mem_bytes).max().unwrap();
-    let launch = LaunchConfig::linear(blocks.len() as u32, max_warps_per_block * spec.warp_size)
-        .with_shared_mem(max_shared);
-    let occ = occupancy(spec, &launch).expect("trace built from a validated launch");
+/// The event loop's state for one launch (DESIGN.md §4.10).
+///
+/// Each event costs work in proportion to the warps that are running,
+/// not to the warps of the launch:
+/// * `running` holds the warps whose segment still has work, in ascending
+///   warp index. Every floating-point sum over warps (`issued_integral`,
+///   `dram_integral`, the sampler windows) accumulates in that order, and
+///   a block's warps sit next to each other in it.
+/// * Finished segments are retired in the order a full scan in warp order
+///   would meet them, repeated until a scan finds nothing: `pass` holds
+///   the current scan's finished segments, and a segment that finishes at
+///   or below the warp being retired waits in `next_pass`.
+/// * Issue and memory counts change only when warps change state, and
+///   watchdog deadlines never decrease along `deadlines`.
+///
+/// `results/timing_oracle.jsonl` pins every field of the result; any
+/// change to an order here shows up there.
+struct Engine<'a> {
+    spec: &'a GpuSpec,
+    blocks: &'a [BlockTrace],
+    params: &'a TimingParams,
+    cycle_budget: Option<f64>,
 
-    // Distinct heap-region tags across all blocks (the §4.3 interference
-    // driver) and the largest per-team data footprint (the L2 driver; L2
-    // residency is judged per working set — hot per-instance data keeps
-    // hitting even when many instances run, while a working set larger
-    // than the cache misses at any instance count).
-    let mut tags: Vec<u32> = Vec::new();
-    let mut max_team_footprint = 0.0f64;
-    for b in blocks {
-        for t in &b.teams {
-            tags.extend(t.region_tags());
-            let fp: u64 = t.region_footprints().iter().map(|&(_, l)| l).sum();
-            max_team_footprint = max_team_footprint.max(fp as f64);
-        }
-    }
-    tags.sort_unstable();
-    tags.dedup();
-    let region_count = (tags.len() as u32).max(1);
-    let footprint_bytes: f64 = max_team_footprint * inputs.footprint_multiplier.max(1.0);
+    // Static launch-wide factors.
+    occ_waves: u32,
+    dram_eff: f64,
+    l2_hit: f64,
+    region_count: u32,
+    dram_discount: f64,
+    dram_capacity: f64,
+    mlp_cap: f64,
+    issue_cap: f64,
+    alloc_scale: f64,
+    blocks_per_sm: usize,
+    wave_capacity: usize,
+    /// Work-bearing blocks that fit on the device at once: the device
+    /// counts as fully fed while that many are resident, and any interval
+    /// below that is an occupancy/wave-tail loss at the kernel level.
+    full_blocks: usize,
+    device_issue_cap: f64,
+    device_dram_cap: f64,
 
-    let dram_eff = spec.mem_model.dram_efficiency(region_count);
-    let l2_hit = if footprint_bytes <= EPS {
-        0.0
-    } else {
-        let resident = (spec.l2_usable_bytes() / footprint_bytes).min(1.0);
-        params.l2_hit_max * resident
-    };
-    let dram_discount = 1.0 - l2_hit;
-    let dram_capacity = spec.dram_bytes_per_cycle() * dram_eff;
-    // Row-locality interference lengthens the effective memory latency as
-    // more disjoint heaps are streamed (each instance's accesses keep
-    // closing the others' row buffers), so it throttles the per-warp MLP
-    // rate as well as aggregate bandwidth — the paper's §4.3 observation.
-    let mlp_cap = spec.mem_model.warp_mlp_bytes_per_cycle() * dram_eff;
-    let issue_cap = spec.issue_slots_per_sm as f64;
-    // Allocator latency per global-path operation: the base cost scaled by
-    // contention from every *other* concurrently-resident instance heap
-    // (distinct region tags serialize on the global allocator lock and
-    // evict each other's row-buffer locality). 0 unless the params opt in.
-    let alloc_scale =
-        params.alloc_cycles_per_op * (1.0 + params.alloc_contention * (region_count - 1) as f64);
+    // Simulation state.
+    warps: Vec<WarpState>,
+    teams: Vec<Vec<TeamState>>,
+    block_states: Vec<BlockState>,
+    /// Index of the first warp of each (block, team).
+    warp_index: Vec<Vec<usize>>,
+    sm_resident: Vec<usize>,
+    pending_blocks: VecDeque<usize>,
+    now: f64,
+    placed_count: usize,
+    blocks_remaining: usize,
+    /// Work-bearing blocks resident on SMs.
+    running_blocks: usize,
+    /// Unfinished teams of placed blocks.
+    active_teams: u32,
+    /// Per SM: running warps with instructions left to issue.
+    issue_count: Vec<u32>,
+    /// Per SM: each such warp's issue rate over the current event.
+    issue_rate: Vec<f64>,
+    /// Running warps with bytes left to move.
+    mem_count: u32,
+    /// Warps whose segment has work, ascending.
+    running: Vec<usize>,
+    /// Warps that started a segment with work since the last merge.
+    started: Vec<usize>,
+    /// A kill since the last merge left `Done` warps in `running`.
+    killed_since_merge: bool,
+    /// Finished segments of the current retirement scan.
+    pass: BinaryHeap<Reverse<usize>>,
+    /// Finished segments the current scan has already passed.
+    next_pass: Vec<usize>,
+    /// Warps at or above this index still lie ahead of the current scan.
+    cursor: usize,
+    /// `(block, start_cycle + budget)` in placement order.
+    deadlines: VecDeque<(usize, f64)>,
+    /// Per block with running warps, ascending: the component time and
+    /// stall class that bound the block's earliest completion this event.
+    block_slots: Vec<(usize, f64, StallClass)>,
+    issued_integral: f64,
+    dram_integral: f64,
+    timed_out_teams: Vec<(u32, u32)>,
 
-    // --- Mutable simulation state ---------------------------------------
-    let mut warp_states: Vec<WarpState> = Vec::new();
-    let mut team_states: Vec<Vec<TeamState>> = Vec::new();
-    let mut block_states: Vec<BlockState> = Vec::new();
-    for (bi, b) in blocks.iter().enumerate() {
-        let mut teams = Vec::with_capacity(b.teams.len());
-        for (ti, t) in b.teams.iter().enumerate() {
-            teams.push(TeamState {
-                phase_idx: 0,
-                warps_pending: t.warp_count as usize,
-                done: t.phases.is_empty(),
-            });
-            for wi in 0..t.warp_count as usize {
-                warp_states.push(WarpState {
-                    block: bi,
-                    team: ti,
-                    warp: wi,
-                    sm: usize::MAX,
-                    insts_left: 0.0,
-                    bytes_left: 0.0,
-                    latency_left: 0.0,
-                    alloc_left: 0.0,
-                    mlp_factor: 1.0,
-                    phase: WarpPhase::Done, // activated on placement
-                });
-            }
-        }
-        block_states.push(BlockState {
-            teams_pending: teams.iter().filter(|t| !t.done).count(),
-            placed: false,
-            start_cycle: 0.0,
-            end_cycle: 0.0,
-        });
-        team_states.push(teams);
-    }
+    // Observers: pure bookkeeping that never feeds back into any rate or
+    // event computation.
+    detail: Option<ScheduleDetail>,
+    phase_start: Vec<Vec<f64>>,
+    stalls: Option<StallAttribution>,
+    sampler: Option<Sampler>,
+}
 
-    // Index of the first warp-state of each (block, team).
-    let mut warp_index: Vec<Vec<usize>> = Vec::with_capacity(blocks.len());
-    {
-        let mut cursor = 0usize;
+impl<'a> Engine<'a> {
+    fn new(inputs: &TimingInputs<'a>) -> Self {
+        let spec = inputs.spec;
+        let params = inputs.params;
+        let blocks = inputs.blocks;
+        assert!(!blocks.is_empty(), "timing needs at least one block");
+
+        // --- Static launch-wide factors ---------------------------------
+        let max_warps_per_block = blocks.iter().map(|b| b.warp_count()).max().unwrap().max(1);
+        let max_shared = blocks.iter().map(|b| b.shared_mem_bytes).max().unwrap();
+        let launch =
+            LaunchConfig::linear(blocks.len() as u32, max_warps_per_block * spec.warp_size)
+                .with_shared_mem(max_shared);
+        let occ = occupancy(spec, &launch).expect("trace built from a validated launch");
+
+        // Distinct heap-region tags across all blocks (the §4.3
+        // interference driver) and the largest per-team data footprint
+        // (the L2 driver; L2 residency is judged per working set — hot
+        // per-instance data keeps hitting even when many instances run,
+        // while a working set larger than the cache misses at any
+        // instance count).
+        let mut tags: Vec<u32> = Vec::new();
+        let mut max_team_footprint = 0.0f64;
         for b in blocks {
-            let mut per_team = Vec::with_capacity(b.teams.len());
             for t in &b.teams {
-                per_team.push(cursor);
-                cursor += t.warp_count as usize;
+                tags.extend(t.region_tags());
+                let fp: u64 = t.region_footprints().iter().map(|&(_, l)| l).sum();
+                max_team_footprint = max_team_footprint.max(fp as f64);
             }
-            warp_index.push(per_team);
         }
-    }
+        tags.sort_unstable();
+        tags.dedup();
+        let region_count = (tags.len() as u32).max(1);
+        let footprint_bytes: f64 = max_team_footprint * inputs.footprint_multiplier.max(1.0);
 
-    let blocks_per_sm = occ.blocks_per_sm.max(1) as usize;
-    let mut sm_resident = vec![0usize; spec.sm_count as usize];
-    let mut pending_blocks: std::collections::VecDeque<usize> = (0..blocks.len()).collect();
+        let dram_eff = spec.mem_model.dram_efficiency(region_count);
+        let l2_hit = if footprint_bytes <= EPS {
+            0.0
+        } else {
+            let resident = (spec.l2_usable_bytes() / footprint_bytes).min(1.0);
+            params.l2_hit_max * resident
+        };
+        let issue_cap = spec.issue_slots_per_sm as f64;
+        let blocks_per_sm = occ.blocks_per_sm.max(1) as usize;
+        let wave_capacity = blocks_per_sm * spec.sm_count as usize;
 
-    // Timeline observation state (pure bookkeeping — never feeds back into
-    // any rate or event computation above).
-    let mut detail: Option<ScheduleDetail> = inputs.collect_detail.then(ScheduleDetail::default);
-    let mut phase_start: Vec<Vec<f64>> = if inputs.collect_detail {
-        blocks.iter().map(|b| vec![0.0; b.teams.len()]).collect()
-    } else {
-        Vec::new()
-    };
-    let wave_capacity = blocks_per_sm * spec.sm_count as usize;
-    let mut placed_count = 0usize;
+        // --- Simulation state --------------------------------------------
+        let mut warps: Vec<WarpState> = Vec::new();
+        let mut teams: Vec<Vec<TeamState>> = Vec::with_capacity(blocks.len());
+        let mut block_states: Vec<BlockState> = Vec::with_capacity(blocks.len());
+        let mut warp_index: Vec<Vec<usize>> = Vec::with_capacity(blocks.len());
+        for (bi, b) in blocks.iter().enumerate() {
+            let mut block_teams = Vec::with_capacity(b.teams.len());
+            let mut first_warps = Vec::with_capacity(b.teams.len());
+            for (ti, t) in b.teams.iter().enumerate() {
+                block_teams.push(TeamState {
+                    phase_idx: 0,
+                    warps_pending: t.warp_count as usize,
+                    done: t.phases.is_empty(),
+                });
+                first_warps.push(warps.len());
+                for wi in 0..t.warp_count as usize {
+                    warps.push(WarpState {
+                        block: bi,
+                        team: ti,
+                        warp: wi,
+                        sm: usize::MAX,
+                        insts_left: 0.0,
+                        bytes_left: 0.0,
+                        latency_left: 0.0,
+                        alloc_left: 0.0,
+                        mlp_factor: 1.0,
+                        phase: WarpPhase::Done, // activated on placement
+                    });
+                }
+            }
+            block_states.push(BlockState {
+                teams_pending: block_teams.iter().filter(|t| !t.done).count(),
+                sm: usize::MAX,
+                end_cycle: 0.0,
+            });
+            teams.push(block_teams);
+            warp_index.push(first_warps);
+        }
+        // Blocks whose teams all start "done" (empty traces) never enter
+        // the event loop; everything else counts as remaining.
+        let blocks_with_work = block_states.iter().filter(|b| b.teams_pending > 0).count();
+        let sm_count = spec.sm_count as usize;
+        let warp_count = warps.len();
 
-    // Stall-attribution observation state (pure bookkeeping, like
-    // `detail`). The device counts as fully fed while `running_blocks`
-    // work-bearing blocks are resident; any interval below that is an
-    // occupancy/wave-tail loss at the kernel level.
-    let blocks_with_work = team_states
-        .iter()
-        .filter(|ts| ts.iter().any(|t| !t.done))
-        .count();
-    let full_blocks = blocks_with_work.min(wave_capacity);
-    let mut running_blocks = 0usize;
-    let mut stalls: Option<StallAttribution> = inputs.collect_stalls.then(|| StallAttribution {
-        kernel: StallBuckets::default(),
-        blocks: vec![StallBuckets::default(); blocks.len()],
-    });
-    let mut stall_scratch: Vec<(f64, StallClass)> = Vec::new();
-
-    // Utilization-sampling observation state (pure bookkeeping, like
-    // `detail` and `stalls`). One open window accumulates issue/DRAM work
-    // and stall cycles; each event-loop interval is split analytically
-    // across window boundaries — exact, because fluid rates are constant
-    // within an interval — so sampling never subdivides an event step.
-    struct Sampler {
-        interval: f64,
-        /// Cycle the open window started at (the previous boundary).
-        win_start: f64,
-        /// Warp-instructions issued inside the open window.
-        issued: f64,
-        /// Bytes moved inside the open window.
-        dram: f64,
-        /// Stall decomposition of the open window (tracks `stalls`).
-        stall: StallBuckets,
-        timeline: UtilizationTimeline,
-    }
-    let mut sampler: Option<Sampler> = inputs.sample_interval.map(|interval| {
-        assert!(
-            interval.is_finite() && interval > EPS,
-            "sample_interval must be a positive cycle count, got {interval}"
-        );
-        Sampler {
-            interval,
-            win_start: 0.0,
-            issued: 0.0,
-            dram: 0.0,
-            stall: StallBuckets::default(),
-            timeline: UtilizationTimeline {
+        let sampler = inputs.sample_interval.map(|interval| {
+            assert!(
+                interval.is_finite() && interval > EPS,
+                "sample_interval must be a positive cycle count, got {interval}"
+            );
+            Sampler {
                 interval,
-                samples: Vec::new(),
-            },
-        }
-    });
-    let device_issue_cap = spec.sm_count as f64 * issue_cap;
-    let device_dram_cap = spec.dram_bytes_per_cycle();
+                win_start: 0.0,
+                issued: 0.0,
+                dram: 0.0,
+                stall: StallBuckets::default(),
+                timeline: UtilizationTimeline {
+                    interval,
+                    samples: Vec::new(),
+                },
+            }
+        });
 
-    let place_blocks = |now: f64,
-                        pending: &mut std::collections::VecDeque<usize>,
-                        sm_resident: &mut Vec<usize>,
-                        warp_states: &mut Vec<WarpState>,
-                        team_states: &mut Vec<Vec<TeamState>>,
-                        block_states: &mut Vec<BlockState>,
-                        detail: &mut Option<ScheduleDetail>,
-                        phase_start: &mut Vec<Vec<f64>>,
-                        placed_count: &mut usize,
-                        stalls: &mut Option<StallAttribution>,
-                        running_blocks: &mut usize| {
-        while let Some(&bi) = pending.front() {
-            // Least-loaded SM placement.
-            let (sm, load) = sm_resident
+        Engine {
+            spec,
+            blocks,
+            params,
+            cycle_budget: inputs.cycle_budget,
+            occ_waves: occ.waves,
+            dram_eff,
+            l2_hit,
+            region_count,
+            dram_discount: 1.0 - l2_hit,
+            dram_capacity: spec.dram_bytes_per_cycle() * dram_eff,
+            // Row-locality interference lengthens the effective memory
+            // latency as more disjoint heaps are streamed (each
+            // instance's accesses keep closing the others' row buffers),
+            // so it throttles the per-warp MLP rate as well as aggregate
+            // bandwidth — the paper's §4.3 observation.
+            mlp_cap: spec.mem_model.warp_mlp_bytes_per_cycle() * dram_eff,
+            issue_cap,
+            // Allocator latency per global-path operation: the base cost
+            // scaled by contention from every *other*
+            // concurrently-resident instance heap (distinct region tags
+            // serialize on the global allocator lock and evict each
+            // other's row-buffer locality). 0 unless the params opt in.
+            alloc_scale: params.alloc_cycles_per_op
+                * (1.0 + params.alloc_contention * (region_count - 1) as f64),
+            blocks_per_sm,
+            wave_capacity,
+            full_blocks: blocks_with_work.min(wave_capacity),
+            device_issue_cap: spec.sm_count as f64 * issue_cap,
+            device_dram_cap: spec.dram_bytes_per_cycle(),
+            warps,
+            teams,
+            block_states,
+            warp_index,
+            sm_resident: vec![0; sm_count],
+            pending_blocks: (0..blocks.len()).collect(),
+            now: 0.0,
+            placed_count: 0,
+            blocks_remaining: blocks_with_work,
+            running_blocks: 0,
+            active_teams: 0,
+            issue_count: vec![0; sm_count],
+            issue_rate: vec![0.0; sm_count],
+            mem_count: 0,
+            running: Vec::with_capacity(warp_count),
+            started: Vec::with_capacity(warp_count),
+            killed_since_merge: false,
+            pass: BinaryHeap::with_capacity(warp_count),
+            next_pass: Vec::with_capacity(warp_count),
+            cursor: 0,
+            deadlines: VecDeque::with_capacity(blocks.len()),
+            block_slots: Vec::with_capacity(wave_capacity.min(blocks.len())),
+            issued_integral: 0.0,
+            dram_integral: 0.0,
+            timed_out_teams: Vec::new(),
+            detail: inputs.collect_detail.then(ScheduleDetail::default),
+            phase_start: if inputs.collect_detail {
+                blocks.iter().map(|b| vec![0.0; b.teams.len()]).collect()
+            } else {
+                Vec::new()
+            },
+            stalls: inputs.collect_stalls.then(|| StallAttribution {
+                kernel: StallBuckets::default(),
+                blocks: vec![StallBuckets::default(); blocks.len()],
+            }),
+            sampler,
+        }
+    }
+
+    /// Place queued blocks, in block order, on the least-loaded SM until
+    /// every SM is full.
+    fn place_blocks(&mut self) {
+        let now = self.now;
+        while let Some(&bi) = self.pending_blocks.front() {
+            let (sm, load) = self
+                .sm_resident
                 .iter()
                 .enumerate()
                 .min_by_key(|&(_, &l)| l)
                 .map(|(i, &l)| (i, l))
                 .expect("at least one SM");
-            if load >= blocks_per_sm {
+            if load >= self.blocks_per_sm {
                 break;
             }
-            pending.pop_front();
-            sm_resident[sm] += 1;
-            block_states[bi].placed = true;
-            block_states[bi].start_cycle = now;
-            if team_states[bi].iter().any(|t| !t.done) {
-                *running_blocks += 1;
-                if let Some(st) = stalls.as_mut() {
+            self.pending_blocks.pop_front();
+            self.sm_resident[sm] += 1;
+            let bs = &mut self.block_states[bi];
+            bs.sm = sm;
+            if bs.teams_pending > 0 {
+                self.running_blocks += 1;
+                self.active_teams += bs.teams_pending as u32;
+                if let Some(budget) = self.cycle_budget {
+                    self.deadlines.push_back((bi, now + budget));
+                }
+                if let Some(st) = self.stalls.as_mut() {
                     // Queue delay before the block won an SM slot.
                     st.blocks[bi].wave_tail = now;
                 }
             }
-            if let Some(d) = detail.as_mut() {
-                let wave = (*placed_count / wave_capacity) as u32;
+            if let Some(d) = self.detail.as_mut() {
+                let wave = (self.placed_count / self.wave_capacity) as u32;
                 if wave as usize == d.wave_starts.len() {
                     d.wave_starts.push(now);
                 }
@@ -779,242 +898,293 @@ pub fn simulate_timing(inputs: &TimingInputs<'_>) -> TimingResult {
                     end_cycle: now,
                     stalls: None, // annotated after the event loop
                 });
-                for ts in phase_start[bi].iter_mut() {
+                for ts in self.phase_start[bi].iter_mut() {
                     *ts = now;
                 }
             }
-            *placed_count += 1;
-            for (ti, team) in team_states[bi].iter_mut().enumerate() {
+            self.placed_count += 1;
+            for ti in 0..self.teams[bi].len() {
+                let team = &self.teams[bi][ti];
                 if team.done {
                     continue;
                 }
-                let base = warp_index[bi][ti];
-                for wi in 0..blocks[bi].teams[ti].warp_count as usize {
-                    let ws = &mut warp_states[base + wi];
-                    ws.sm = sm;
-                    ws.load_segment(blocks, team.phase_idx, dram_discount, params, alloc_scale);
+                let phase_idx = team.phase_idx;
+                let base = self.warp_index[bi][ti];
+                for w in base..base + self.blocks[bi].teams[ti].warp_count as usize {
+                    self.warps[w].sm = sm;
+                    self.start_segment(w, phase_idx);
                 }
             }
         }
-    };
+    }
 
-    place_blocks(
-        0.0,
-        &mut pending_blocks,
-        &mut sm_resident,
-        &mut warp_states,
-        &mut team_states,
-        &mut block_states,
-        &mut detail,
-        &mut phase_start,
-        &mut placed_count,
-        &mut stalls,
-        &mut running_blocks,
-    );
-
-    let mut now = 0.0f64;
-    // Blocks whose teams all start "done" (empty traces) never enter the
-    // event loop; everything else counts as remaining.
-    let mut blocks_remaining = block_states
-        .iter()
-        .enumerate()
-        .filter(|(bi, _)| team_states[*bi].iter().any(|t| !t.done))
-        .count();
-
-    let mut issued_integral = 0.0f64;
-    let mut dram_integral = 0.0f64;
-    let mut timed_out_teams: Vec<(u32, u32)> = Vec::new();
-
-    let mut guard = 0u64;
-    let guard_limit = 10_000_000u64;
-
-    while blocks_remaining > 0 {
-        guard += 1;
-        assert!(guard < guard_limit, "timing simulation failed to converge");
-
-        // ---- Drain zero-work segment completions without advancing time.
-        let mut progressed = true;
-        while progressed {
-            progressed = false;
-            for wi in 0..warp_states.len() {
-                if warp_states[wi].phase == WarpPhase::Running && warp_states[wi].segment_done() {
-                    progressed = true;
-                    let (bi, ti) = (warp_states[wi].block, warp_states[wi].team);
-                    warp_states[wi].phase = WarpPhase::AtBarrier;
-                    let team = &mut team_states[bi][ti];
-                    team.warps_pending -= 1;
-                    if team.warps_pending == 0 {
-                        team.phase_idx += 1;
-                        let trace = &blocks[bi].teams[ti];
-                        if let Some(d) = detail.as_mut() {
-                            let finished = team.phase_idx - 1;
-                            let ph = &trace.phases[finished];
-                            d.phase_spans.push(PhaseSpan {
-                                block: bi as u32,
-                                team: ti as u32,
-                                phase: finished as u32,
-                                label: ph.label.clone(),
-                                start_cycle: phase_start[bi][ti],
-                                end_cycle: now,
-                                rpc_calls: ph.warps.iter().map(|w| w.rpc_calls).sum(),
-                            });
-                            phase_start[bi][ti] = now;
-                        }
-                        if team.phase_idx < trace.phases.len() {
-                            team.warps_pending = trace.warp_count as usize;
-                            let base = warp_index[bi][ti];
-                            for w in 0..trace.warp_count as usize {
-                                warp_states[base + w].load_segment(
-                                    blocks,
-                                    team.phase_idx,
-                                    dram_discount,
-                                    params,
-                                    alloc_scale,
-                                );
-                            }
-                        } else {
-                            team.done = true;
-                            let base = warp_index[bi][ti];
-                            for w in 0..trace.warp_count as usize {
-                                warp_states[base + w].phase = WarpPhase::Done;
-                            }
-                            let bs = &mut block_states[bi];
-                            bs.teams_pending -= 1;
-                            if bs.teams_pending == 0 {
-                                bs.end_cycle = now;
-                                blocks_remaining -= 1;
-                                running_blocks -= 1;
-                                if let Some(d) = detail.as_mut() {
-                                    if let Some(b) =
-                                        d.blocks.iter_mut().find(|b| b.block == bi as u32)
-                                    {
-                                        b.end_cycle = now;
-                                    }
-                                }
-                                let sm = warp_states[base].sm;
-                                sm_resident[sm] -= 1;
-                                place_blocks(
-                                    now,
-                                    &mut pending_blocks,
-                                    &mut sm_resident,
-                                    &mut warp_states,
-                                    &mut team_states,
-                                    &mut block_states,
-                                    &mut detail,
-                                    &mut phase_start,
-                                    &mut placed_count,
-                                    &mut stalls,
-                                    &mut running_blocks,
-                                );
-                            }
-                        }
-                    }
-                }
+    /// Load warp `w`'s segment of phase `phase_idx`. A segment with work
+    /// joins the running set at the next merge; one without is finished
+    /// already and waits for retirement.
+    fn start_segment(&mut self, w: usize, phase_idx: usize) {
+        let ws = &mut self.warps[w];
+        ws.load_segment(
+            self.blocks,
+            phase_idx,
+            self.dram_discount,
+            self.params,
+            self.alloc_scale,
+        );
+        if ws.segment_done() {
+            if w >= self.cursor {
+                self.pass.push(Reverse(w));
+            } else {
+                self.next_pass.push(w);
             }
+            return;
         }
-        if blocks_remaining == 0 {
-            break;
+        if ws.insts_left > EPS {
+            self.issue_count[ws.sm] += 1;
         }
+        if ws.bytes_left > EPS {
+            self.mem_count += 1;
+        }
+        self.started.push(w);
+    }
 
-        // ---- Watchdog: kill blocks whose cycle budget has expired. The
-        // teardown mirrors normal block completion (free the SM slot,
-        // record the end cycle, refill from the queue) so the rest of the
-        // schedule proceeds untouched; the functional layer rewrites the
-        // affected teams' outcomes to `KernelError::Timeout`.
-        if let Some(budget) = inputs.cycle_budget {
-            let mut killed = false;
-            for bi in 0..block_states.len() {
-                if !block_states[bi].placed
-                    || !team_states[bi].iter().any(|t| !t.done)
-                    || now < block_states[bi].start_cycle + budget - EPS
-                {
-                    continue;
-                }
-                killed = true;
-                let mut sm = usize::MAX;
-                for (ti, team) in team_states[bi].iter_mut().enumerate() {
-                    if team.done {
-                        continue;
-                    }
-                    team.done = true;
-                    timed_out_teams.push((bi as u32, ti as u32));
-                    let base = warp_index[bi][ti];
-                    for w in 0..blocks[bi].teams[ti].warp_count as usize {
-                        sm = warp_states[base + w].sm;
-                        warp_states[base + w].phase = WarpPhase::Done;
-                    }
-                    block_states[bi].teams_pending -= 1;
-                }
-                debug_assert_eq!(block_states[bi].teams_pending, 0);
-                block_states[bi].end_cycle = now;
-                blocks_remaining -= 1;
-                running_blocks -= 1;
-                if let Some(d) = detail.as_mut() {
-                    if let Some(b) = d.blocks.iter_mut().find(|b| b.block == bi as u32) {
-                        b.end_cycle = now;
-                    }
-                }
-                sm_resident[sm] -= 1;
-                place_blocks(
-                    now,
-                    &mut pending_blocks,
-                    &mut sm_resident,
-                    &mut warp_states,
-                    &mut team_states,
-                    &mut block_states,
-                    &mut detail,
-                    &mut phase_start,
-                    &mut placed_count,
-                    &mut stalls,
-                    &mut running_blocks,
-                );
+    fn run(&mut self) {
+        let mut guard = 0u64;
+        let guard_limit = 10_000_000u64;
+        while self.blocks_remaining > 0 {
+            guard += 1;
+            assert!(guard < guard_limit, "timing simulation failed to converge");
+            self.drain();
+            if self.blocks_remaining == 0 {
+                break;
             }
-            if killed {
+            if self.kill_expired() {
                 // Freshly placed blocks may carry zero-work segments;
                 // restart the iteration so the drain sees them first.
                 continue;
             }
+            self.merge_started();
+            self.advance();
         }
+    }
 
-        // ---- Compute fair-share rates.
-        let mut issue_count = vec![0u32; spec.sm_count as usize];
-        let mut mem_count = 0u32;
-        for ws in &warp_states {
-            if ws.phase != WarpPhase::Running {
+    /// Retire finished segments without advancing time, scan by scan,
+    /// until a scan finds nothing.
+    fn drain(&mut self) {
+        loop {
+            while let Some(Reverse(w)) = self.pass.pop() {
+                self.cursor = w + 1;
+                self.retire(w);
+            }
+            self.cursor = 0;
+            if self.next_pass.is_empty() {
+                break;
+            }
+            self.pass.extend(self.next_pass.drain(..).map(Reverse));
+        }
+    }
+
+    /// Move warp `w` to its team's barrier; the last warp to arrive
+    /// starts the team's next phase or finishes the team.
+    fn retire(&mut self, w: usize) {
+        let ws = &mut self.warps[w];
+        if ws.phase != WarpPhase::Running {
+            return; // killed while waiting for its turn
+        }
+        ws.phase = WarpPhase::AtBarrier;
+        let (bi, ti) = (ws.block, ws.team);
+        let team = &mut self.teams[bi][ti];
+        team.warps_pending -= 1;
+        if team.warps_pending > 0 {
+            return;
+        }
+        team.phase_idx += 1;
+        let phase_idx = team.phase_idx;
+        let blocks = self.blocks;
+        let trace = &blocks[bi].teams[ti];
+        if let Some(d) = self.detail.as_mut() {
+            let finished = phase_idx - 1;
+            let ph = &trace.phases[finished];
+            d.phase_spans.push(PhaseSpan {
+                block: bi as u32,
+                team: ti as u32,
+                phase: finished as u32,
+                label: ph.label.clone(),
+                start_cycle: self.phase_start[bi][ti],
+                end_cycle: self.now,
+                rpc_calls: ph.warps.iter().map(|w| w.rpc_calls).sum(),
+            });
+            self.phase_start[bi][ti] = self.now;
+        }
+        let base = self.warp_index[bi][ti];
+        let warps = base..base + trace.warp_count as usize;
+        if phase_idx < trace.phases.len() {
+            team.warps_pending = trace.warp_count as usize;
+            for w in warps {
+                self.start_segment(w, phase_idx);
+            }
+        } else {
+            team.done = true;
+            self.active_teams -= 1;
+            for w in warps {
+                self.warps[w].phase = WarpPhase::Done;
+            }
+            let bs = &mut self.block_states[bi];
+            bs.teams_pending -= 1;
+            if bs.teams_pending == 0 {
+                self.end_block(bi);
+            }
+        }
+    }
+
+    /// Free block `bi`'s SM slot at `now` and refill from the queue.
+    fn end_block(&mut self, bi: usize) {
+        let bs = &mut self.block_states[bi];
+        bs.end_cycle = self.now;
+        self.sm_resident[bs.sm] -= 1;
+        self.blocks_remaining -= 1;
+        self.running_blocks -= 1;
+        if let Some(d) = self.detail.as_mut() {
+            // Blocks are placed in index order, one entry each.
+            debug_assert_eq!(d.blocks[bi].block as usize, bi);
+            d.blocks[bi].end_cycle = self.now;
+        }
+        self.place_blocks();
+    }
+
+    /// Watchdog: kill blocks whose cycle budget has expired. The teardown
+    /// mirrors normal block completion (free the SM slot, record the end
+    /// cycle, refill from the queue) so the rest of the schedule proceeds
+    /// untouched; the functional layer rewrites the affected teams'
+    /// outcomes to `KernelError::Timeout`. Returns whether any block died.
+    fn kill_expired(&mut self) -> bool {
+        let mut killed = false;
+        while let Some(&(bi, deadline)) = self.deadlines.front() {
+            if self.block_states[bi].teams_pending > 0 && self.now < deadline - EPS {
+                break;
+            }
+            self.deadlines.pop_front();
+            if self.block_states[bi].teams_pending == 0 {
                 continue;
             }
-            if ws.insts_left > EPS {
-                issue_count[ws.sm] += 1;
+            killed = true;
+            for ti in 0..self.teams[bi].len() {
+                let team = &mut self.teams[bi][ti];
+                if team.done {
+                    continue;
+                }
+                team.done = true;
+                self.timed_out_teams.push((bi as u32, ti as u32));
+                self.active_teams -= 1;
+                let base = self.warp_index[bi][ti];
+                for w in base..base + self.blocks[bi].teams[ti].warp_count as usize {
+                    let ws = &mut self.warps[w];
+                    if ws.phase == WarpPhase::Running {
+                        if ws.insts_left > EPS {
+                            self.issue_count[ws.sm] -= 1;
+                        }
+                        if ws.bytes_left > EPS {
+                            self.mem_count -= 1;
+                        }
+                    }
+                    ws.phase = WarpPhase::Done;
+                }
+                self.block_states[bi].teams_pending -= 1;
             }
-            if ws.bytes_left > EPS {
-                mem_count += 1;
+            self.end_block(bi);
+        }
+        self.killed_since_merge |= killed;
+        killed
+    }
+
+    /// Merge the warps that started a segment into the running set,
+    /// keeping it in ascending warp order, and drop killed warps.
+    fn merge_started(&mut self) {
+        if self.killed_since_merge {
+            let warps = &self.warps;
+            let live = |&w: &usize| warps[w].phase == WarpPhase::Running;
+            self.running.retain(live);
+            self.started.retain(live);
+            self.killed_since_merge = false;
+        }
+        if self.started.is_empty() {
+            return;
+        }
+        self.started.sort_unstable();
+        // Merge from the back into the grown tail of `running`.
+        let (mut i, mut j) = (self.running.len(), self.started.len());
+        self.running.resize(i + j, 0);
+        while j > 0 {
+            if i > 0 && self.running[i - 1] > self.started[j - 1] {
+                self.running[i + j - 1] = self.running[i - 1];
+                i -= 1;
+            } else {
+                self.running[i + j - 1] = self.started[j - 1];
+                j -= 1;
             }
         }
-        let mem_share = if mem_count > 0 {
-            dram_capacity / mem_count as f64
+        self.started.clear();
+    }
+
+    /// Advance time to the next component completion (or watchdog
+    /// deadline): find the interval, attribute it, drain every running
+    /// warp by it and collect the segments it finishes.
+    fn advance(&mut self) {
+        // ---- Fair-share rates.
+        for (rate, &count) in self.issue_rate.iter_mut().zip(&self.issue_count) {
+            *rate = (self.issue_cap / count as f64).min(1.0);
+        }
+        let mem_share = if self.mem_count > 0 {
+            self.dram_capacity / self.mem_count as f64
         } else {
             0.0
         };
 
-        // ---- Find the next component-completion event.
+        // ---- Find the next component-completion event, and for each
+        // block the component that bounds *its* earliest completion. Ties
+        // go to the earliest warp, then to the component order below.
+        let observe = self.stalls.is_some();
+        self.block_slots.clear();
         let mut dt = f64::INFINITY;
-        for ws in &warp_states {
-            if ws.phase != WarpPhase::Running {
-                continue;
-            }
+        for &w in &self.running {
+            let ws = &self.warps[w];
+            let mut slot = (f64::INFINITY, StallClass::Compute);
             if ws.insts_left > EPS {
-                let ir = (issue_cap / issue_count[ws.sm] as f64).min(1.0);
-                dt = dt.min(ws.insts_left / ir);
+                let t = ws.insts_left / self.issue_rate[ws.sm];
+                if t < slot.0 {
+                    slot = (t, StallClass::Compute);
+                }
             }
             if ws.bytes_left > EPS {
-                let mr = mem_share.min(mlp_cap * ws.mlp_factor);
-                dt = dt.min(ws.bytes_left / mr);
+                let cap = self.mlp_cap * ws.mlp_factor;
+                let t = ws.bytes_left / mem_share.min(cap);
+                // Distinguish bandwidth saturation (the fair share is the
+                // cap) from latency-bound memory (the warp's own MLP
+                // window is the cap).
+                let class = if mem_share <= cap {
+                    StallClass::DramBw
+                } else {
+                    StallClass::Mlp
+                };
+                if t < slot.0 {
+                    slot = (t, class);
+                }
             }
-            if ws.latency_left > EPS {
-                dt = dt.min(ws.latency_left);
+            if ws.latency_left > EPS && ws.latency_left < slot.0 {
+                slot = (ws.latency_left, StallClass::Rpc);
             }
-            if ws.alloc_left > EPS {
-                dt = dt.min(ws.alloc_left);
+            if ws.alloc_left > EPS && ws.alloc_left < slot.0 {
+                slot = (ws.alloc_left, StallClass::Alloc);
+            }
+            dt = dt.min(slot.0);
+            if observe {
+                match self.block_slots.last_mut() {
+                    Some(b) if b.0 == ws.block => {
+                        if slot.0 < b.1 {
+                            (b.1, b.2) = slot;
+                        }
+                    }
+                    _ => self.block_slots.push((ws.block, slot.0, slot.1)),
+                }
             }
         }
         assert!(
@@ -1022,71 +1192,39 @@ pub fn simulate_timing(inputs: &TimingInputs<'_>) -> TimingResult {
             "active warps exist but no component can progress"
         );
         // Never step past a watchdog deadline: clamp the interval so the
-        // kill pass above fires exactly at `start_cycle + budget`.
-        if let Some(budget) = inputs.cycle_budget {
-            for (bi, bs) in block_states.iter().enumerate() {
-                if bs.placed && team_states[bi].iter().any(|t| !t.done) {
-                    let remain = bs.start_cycle + budget - now;
-                    if remain > EPS && remain < dt {
-                        dt = remain;
-                    }
+        // kill pass fires exactly at `start_cycle + budget`. Deadlines
+        // never decrease along the queue, so the first live one with time
+        // left is the nearest.
+        while let Some(&(bi, _)) = self.deadlines.front() {
+            if self.block_states[bi].teams_pending > 0 {
+                break;
+            }
+            self.deadlines.pop_front();
+        }
+        for &(bi, deadline) in &self.deadlines {
+            let remain = deadline - self.now;
+            if self.block_states[bi].teams_pending > 0 && remain > EPS {
+                if remain < dt {
+                    dt = remain;
                 }
+                break;
             }
         }
 
-        // ---- Attribute the interval (pure bookkeeping; reads the same
-        // rates the event search used, writes only into `stalls`). Each
-        // block is charged by the component that bounds *its* earliest
-        // completion; the kernel by the globally binding one, except that
-        // an under-filled device makes the interval a wave-tail loss.
+        // ---- Attribute the interval (pure bookkeeping; writes only into
+        // `stalls`). The kernel is charged by the globally binding
+        // component, except that an under-filled device makes the
+        // interval a wave-tail loss.
         let mut iter_class: Option<StallClass> = None;
-        if let Some(st) = stalls.as_mut() {
-            stall_scratch.clear();
-            stall_scratch.resize(blocks.len(), (f64::INFINITY, StallClass::Compute));
-            for ws in &warp_states {
-                if ws.phase != WarpPhase::Running {
-                    continue;
-                }
-                let slot = &mut stall_scratch[ws.block];
-                if ws.insts_left > EPS {
-                    let ir = (issue_cap / issue_count[ws.sm] as f64).min(1.0);
-                    let t = ws.insts_left / ir;
-                    if t < slot.0 {
-                        *slot = (t, StallClass::Compute);
-                    }
-                }
-                if ws.bytes_left > EPS {
-                    let cap = mlp_cap * ws.mlp_factor;
-                    let t = ws.bytes_left / mem_share.min(cap);
-                    // Distinguish bandwidth saturation (the fair share is
-                    // the cap) from latency-bound memory (the warp's own
-                    // MLP window is the cap).
-                    let class = if mem_share <= cap {
-                        StallClass::DramBw
-                    } else {
-                        StallClass::Mlp
-                    };
-                    if t < slot.0 {
-                        *slot = (t, class);
-                    }
-                }
-                if ws.latency_left > EPS && ws.latency_left < slot.0 {
-                    *slot = (ws.latency_left, StallClass::Rpc);
-                }
-                if ws.alloc_left > EPS && ws.alloc_left < slot.0 {
-                    *slot = (ws.alloc_left, StallClass::Alloc);
-                }
-            }
+        if let Some(st) = self.stalls.as_mut() {
             let mut global = (f64::INFINITY, StallClass::Compute);
-            for (bi, &(t, class)) in stall_scratch.iter().enumerate() {
-                if t.is_finite() {
-                    st.blocks[bi].add(class, dt);
-                    if t < global.0 {
-                        global = (t, class);
-                    }
+            for &(bi, t, class) in &self.block_slots {
+                st.blocks[bi].add(class, dt);
+                if t < global.0 {
+                    global = (t, class);
                 }
             }
-            let kernel_class = if running_blocks < full_blocks {
+            let kernel_class = if self.running_blocks < self.full_blocks {
                 StallClass::WaveTail
             } else {
                 global.1
@@ -1095,24 +1233,31 @@ pub fn simulate_timing(inputs: &TimingInputs<'_>) -> TimingResult {
             iter_class = Some(kernel_class);
         }
 
-        // ---- Advance all components by dt.
-        let issued_before = issued_integral;
-        let dram_before = dram_integral;
-        for ws in warp_states.iter_mut() {
-            if ws.phase != WarpPhase::Running {
-                continue;
-            }
+        // ---- Advance every running warp by dt, in warp order, and
+        // collect the segments that finish for the next drain.
+        let issued_before = self.issued_integral;
+        let dram_before = self.dram_integral;
+        let mut kept = 0;
+        for i in 0..self.running.len() {
+            let w = self.running[i];
+            let ws = &mut self.warps[w];
             if ws.insts_left > EPS {
-                let ir = (issue_cap / issue_count[ws.sm] as f64).min(1.0);
+                let ir = self.issue_rate[ws.sm];
                 let spent = (ir * dt).min(ws.insts_left);
                 ws.insts_left -= spent;
-                issued_integral += spent;
+                self.issued_integral += spent;
+                if ws.insts_left <= EPS {
+                    self.issue_count[ws.sm] -= 1;
+                }
             }
             if ws.bytes_left > EPS {
-                let mr = mem_share.min(mlp_cap * ws.mlp_factor);
+                let mr = mem_share.min(self.mlp_cap * ws.mlp_factor);
                 let spent = (mr * dt).min(ws.bytes_left);
                 ws.bytes_left -= spent;
-                dram_integral += spent;
+                self.dram_integral += spent;
+                if ws.bytes_left <= EPS {
+                    self.mem_count -= 1;
+                }
             }
             if ws.latency_left > EPS {
                 ws.latency_left -= dt.min(ws.latency_left);
@@ -1120,50 +1265,48 @@ pub fn simulate_timing(inputs: &TimingInputs<'_>) -> TimingResult {
             if ws.alloc_left > EPS {
                 ws.alloc_left -= dt.min(ws.alloc_left);
             }
+            if ws.segment_done() {
+                self.pass.push(Reverse(w));
+            } else {
+                self.running[kept] = w;
+                kept += 1;
+            }
         }
+        self.running.truncate(kept);
 
         // ---- Fold the interval into the sampling window. The interval's
         // work is spread uniformly over [now, now + dt) (constant fluid
         // rates), so a boundary crossing splits it by exact time fraction.
-        if let Some(s) = sampler.as_mut() {
-            let iter_issued = issued_integral - issued_before;
-            let iter_dram = dram_integral - dram_before;
-            let t_end = now + dt;
-            let mut t_cur = now;
-            if s.win_start + s.interval <= t_end {
-                // Teams never change state mid-interval (completions drain
-                // at a fixed `now`), so one count serves every window the
-                // interval closes.
-                let active_teams = team_states
-                    .iter()
-                    .enumerate()
-                    .filter(|&(bi, _)| block_states[bi].placed)
-                    .flat_map(|(_, ts)| ts.iter())
-                    .filter(|t| !t.done)
-                    .count() as u32;
-                while s.win_start + s.interval <= t_end {
-                    let boundary = s.win_start + s.interval;
-                    let frac = (boundary - t_cur) / dt;
-                    s.issued += iter_issued * frac;
-                    s.dram += iter_dram * frac;
-                    if let Some(class) = iter_class {
-                        s.stall.add(class, boundary - t_cur);
-                    }
-                    s.timeline.samples.push(UtilizationSample {
-                        cycle: boundary,
-                        active_teams,
-                        resident_blocks: running_blocks as u32,
-                        occupancy: running_blocks as f64 / wave_capacity as f64,
-                        issue_rate: s.issued / (s.interval * device_issue_cap),
-                        dram_rate: s.dram / (s.interval * device_dram_cap),
-                        stall: s.stall,
-                    });
-                    s.issued = 0.0;
-                    s.dram = 0.0;
-                    s.stall = StallBuckets::default();
-                    s.win_start = boundary;
-                    t_cur = boundary;
+        if let Some(s) = self.sampler.as_mut() {
+            let iter_issued = self.issued_integral - issued_before;
+            let iter_dram = self.dram_integral - dram_before;
+            let t_end = self.now + dt;
+            let mut t_cur = self.now;
+            // Teams never change state mid-interval (completions drain at
+            // a fixed `now`), so one count serves every window the
+            // interval closes.
+            while s.win_start + s.interval <= t_end {
+                let boundary = s.win_start + s.interval;
+                let frac = (boundary - t_cur) / dt;
+                s.issued += iter_issued * frac;
+                s.dram += iter_dram * frac;
+                if let Some(class) = iter_class {
+                    s.stall.add(class, boundary - t_cur);
                 }
+                s.timeline.samples.push(UtilizationSample {
+                    cycle: boundary,
+                    active_teams: self.active_teams,
+                    resident_blocks: self.running_blocks as u32,
+                    occupancy: self.running_blocks as f64 / self.wave_capacity as f64,
+                    issue_rate: s.issued / (s.interval * self.device_issue_cap),
+                    dram_rate: s.dram / (s.interval * self.device_dram_cap),
+                    stall: s.stall,
+                });
+                s.issued = 0.0;
+                s.dram = 0.0;
+                s.stall = StallBuckets::default();
+                s.win_start = boundary;
+                t_cur = boundary;
             }
             let frac = (t_end - t_cur) / dt;
             s.issued += iter_issued * frac;
@@ -1172,56 +1315,63 @@ pub fn simulate_timing(inputs: &TimingInputs<'_>) -> TimingResult {
                 s.stall.add(class, t_end - t_cur);
             }
         }
-        now += dt;
+        self.now += dt;
     }
 
-    // Force the exclusive buckets to sum exactly to the totals they
-    // partition, then mirror the per-block decomposition onto the
-    // timeline when both observers ran.
-    if let Some(st) = stalls.as_mut() {
-        st.kernel.reconcile(now);
-        for (bi, b) in st.blocks.iter_mut().enumerate() {
-            b.reconcile(block_states[bi].end_cycle);
-        }
-        if let Some(d) = detail.as_mut() {
-            for b in &mut d.blocks {
-                b.stalls = Some(st.blocks[b.block as usize]);
+    fn finish(self) -> TimingResult {
+        let now = self.now;
+        let mut stalls = self.stalls;
+        let mut detail = self.detail;
+        // Force the exclusive buckets to sum exactly to the totals they
+        // partition, then mirror the per-block decomposition onto the
+        // timeline when both observers ran.
+        if let Some(st) = stalls.as_mut() {
+            st.kernel.reconcile(now);
+            for (bi, b) in st.blocks.iter_mut().enumerate() {
+                b.reconcile(self.block_states[bi].end_cycle);
+            }
+            if let Some(d) = detail.as_mut() {
+                for b in &mut d.blocks {
+                    b.stalls = Some(st.blocks[b.block as usize]);
+                }
             }
         }
-    }
 
-    // Close the final (possibly partial) sampling window at kernel end.
-    // Every team is done here, so the instantaneous counts are zero.
-    let timeline = sampler.map(|mut s| {
-        let win = now - s.win_start;
-        if win > EPS {
-            s.timeline.samples.push(UtilizationSample {
-                cycle: now,
-                active_teams: 0,
-                resident_blocks: 0,
-                occupancy: 0.0,
-                issue_rate: s.issued / (win * device_issue_cap),
-                dram_rate: s.dram / (win * device_dram_cap),
-                stall: s.stall,
-            });
+        // Close the final (possibly partial) sampling window at kernel
+        // end. Every team is done here, so the instantaneous counts are
+        // zero.
+        let timeline = self.sampler.map(|mut s| {
+            let win = now - s.win_start;
+            if win > EPS {
+                s.timeline.samples.push(UtilizationSample {
+                    cycle: now,
+                    active_teams: 0,
+                    resident_blocks: 0,
+                    occupancy: 0.0,
+                    issue_rate: s.issued / (win * self.device_issue_cap),
+                    dram_rate: s.dram / (win * self.device_dram_cap),
+                    stall: s.stall,
+                });
+            }
+            s.timeline
+        });
+
+        let cycles = now.max(EPS);
+        TimingResult {
+            cycles: now,
+            block_end_cycles: self.block_states.iter().map(|b| b.end_cycle).collect(),
+            dram_efficiency: self.dram_eff,
+            l2_hit: self.l2_hit,
+            active_region_tags: self.region_count,
+            issue_utilization: self.issued_integral
+                / (cycles * self.spec.sm_count as f64 * self.issue_cap),
+            dram_utilization: self.dram_integral / (cycles * self.device_dram_cap),
+            waves: self.occ_waves,
+            detail,
+            stalls,
+            timed_out_teams: self.timed_out_teams,
+            timeline,
         }
-        s.timeline
-    });
-
-    let cycles = now.max(EPS);
-    TimingResult {
-        cycles: now,
-        block_end_cycles: block_states.iter().map(|b| b.end_cycle).collect(),
-        dram_efficiency: dram_eff,
-        l2_hit,
-        active_region_tags: region_count,
-        issue_utilization: issued_integral / (cycles * spec.sm_count as f64 * issue_cap),
-        dram_utilization: dram_integral / (cycles * spec.dram_bytes_per_cycle()),
-        waves: occ.waves,
-        detail,
-        stalls,
-        timed_out_teams,
-        timeline,
     }
 }
 

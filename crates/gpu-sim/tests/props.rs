@@ -28,50 +28,108 @@ fn block(warps: u32, insts: f64, bytes: f64) -> BlockTrace {
     }
 }
 
+/// A block of two teams with multi-phase mixed traces: a serial phase in
+/// which only warp 0 works (with `shape`-dependent RPC calls and
+/// allocator operations), a parallel phase whose trailing warps idle, and
+/// a closing serial phase with one RPC call. The two teams idle different
+/// warps, so their segments finish at different times.
+fn mixed_block(warps: u32, insts: f64, bytes: f64, shape: usize) -> BlockTrace {
+    let serial = |seg: MixedSeg| {
+        let mut segs = vec![MixedSeg::default(); warps as usize];
+        segs[0] = seg;
+        Phase {
+            warps: segs,
+            label: "serial".into(),
+        }
+    };
+    let team = |t: usize| {
+        let busy = 1 + (shape + t) % warps as usize;
+        let work = MixedSeg {
+            insts,
+            moved_bytes: bytes,
+            useful_bytes: bytes / (1 + shape % 4) as f64,
+            sectors: (bytes / 32.0) as u64,
+            ..Default::default()
+        };
+        TeamTrace {
+            phases: vec![
+                serial(MixedSeg {
+                    insts: insts / 8.0 + 1.0,
+                    rpc_calls: (shape % 2) as u64,
+                    alloc_ops: (shape % 3) as f64,
+                    alloc_fast_ops: (shape % 2) as f64,
+                    ..Default::default()
+                }),
+                Phase {
+                    warps: (0..warps as usize)
+                        .map(|w| {
+                            if w < busy {
+                                work.clone()
+                            } else {
+                                MixedSeg::default()
+                            }
+                        })
+                        .collect(),
+                    label: "parallel_for".into(),
+                },
+                serial(MixedSeg {
+                    insts: 50.0,
+                    rpc_calls: 1,
+                    ..Default::default()
+                }),
+            ],
+            warp_count: warps,
+        }
+    };
+    BlockTrace {
+        teams: vec![team(0), team(1)],
+        shared_mem_bytes: 0,
+    }
+}
+
+/// `n` heterogeneous mixed blocks, so waves, stragglers and mixed
+/// bottlenecks all occur across cases.
+fn mixed_blocks(n: usize, warps: u32, insts: f64, bytes: f64) -> Vec<BlockTrace> {
+    (0..n)
+        .map(|i| {
+            let scale = 1.0 + (i % 3) as f64;
+            mixed_block(warps, insts * scale, bytes * scale, i)
+        })
+        .collect()
+}
+
+/// Engine parameters with the allocator latency channel on, so the
+/// allocator operations of [`mixed_block`] take time.
+fn alloc_params() -> TimingParams {
+    TimingParams {
+        alloc_cycles_per_op: 400.0,
+        alloc_contention: 0.02,
+        ..TimingParams::default()
+    }
+}
+
+fn simulate(
+    blocks: &[BlockTrace],
+    params: &TimingParams,
+    observe: bool,
+    cycle_budget: Option<f64>,
+    sample_interval: Option<f64>,
+) -> gpu_sim::TimingResult {
+    let spec = GpuSpec::a100_40gb();
+    simulate_timing(&TimingInputs {
+        spec: &spec,
+        blocks,
+        params,
+        footprint_multiplier: 1.0,
+        collect_detail: observe,
+        collect_stalls: observe,
+        cycle_budget,
+        sample_interval,
+    })
+}
+
 fn run(blocks: &[BlockTrace]) -> f64 {
-    let spec = GpuSpec::a100_40gb();
-    let params = TimingParams::default();
-    simulate_timing(&TimingInputs {
-        spec: &spec,
-        blocks,
-        params: &params,
-        footprint_multiplier: 1.0,
-        collect_detail: false,
-        collect_stalls: false,
-        cycle_budget: None,
-        sample_interval: None,
-    })
-    .cycles
-}
-
-fn run_with_stalls(blocks: &[BlockTrace]) -> gpu_sim::TimingResult {
-    let spec = GpuSpec::a100_40gb();
-    let params = TimingParams::default();
-    simulate_timing(&TimingInputs {
-        spec: &spec,
-        blocks,
-        params: &params,
-        footprint_multiplier: 1.0,
-        collect_detail: false,
-        collect_stalls: true,
-        cycle_budget: None,
-        sample_interval: None,
-    })
-}
-
-fn run_sampled(blocks: &[BlockTrace], interval: f64) -> gpu_sim::TimingResult {
-    let spec = GpuSpec::a100_40gb();
-    let params = TimingParams::default();
-    simulate_timing(&TimingInputs {
-        spec: &spec,
-        blocks,
-        params: &params,
-        footprint_multiplier: 1.0,
-        collect_detail: false,
-        collect_stalls: true,
-        cycle_budget: None,
-        sample_interval: Some(interval),
-    })
+    simulate(blocks, &TimingParams::default(), false, None, None).cycles
 }
 
 proptest! {
@@ -160,7 +218,7 @@ proptest! {
             }
         }
         let plain = run(&blocks);
-        let r = run_with_stalls(&blocks);
+        let r = simulate(&blocks, &TimingParams::default(), true, None, None);
         // Pure bookkeeping: enabling attribution changes nothing.
         prop_assert_eq!(plain, r.cycles);
         let st = r.stalls.as_ref().unwrap();
@@ -186,15 +244,12 @@ proptest! {
         bytes in 0.0f64..200_000.0,
         interval in 50.0f64..20_000.0,
     ) {
-        let blocks: Vec<BlockTrace> = (0..n)
-            .map(|i| {
-                let scale = 1.0 + (i % 3) as f64;
-                block(warps, insts * scale, bytes * scale)
-            })
-            .collect();
-        let plain = run(&blocks);
-        let r = run_sampled(&blocks, interval);
-        prop_assert_eq!(plain, r.cycles);
+        let blocks = mixed_blocks(n, warps, insts, bytes);
+        let params = alloc_params();
+        let plain = simulate(&blocks, &params, false, None, None);
+        let r = simulate(&blocks, &params, true, None, Some(interval));
+        prop_assert_eq!(plain.cycles, r.cycles);
+        prop_assert_eq!(&plain.block_end_cycles, &r.block_end_cycles);
         let tl = r.timeline.as_ref().unwrap();
         prop_assert_eq!(tl.interval, interval);
         prop_assert!(!tl.samples.is_empty());
@@ -212,6 +267,27 @@ proptest! {
             prev = s.cycle;
         }
         prop_assert_eq!(tl.samples.last().unwrap().cycle, r.cycles);
+    }
+
+    /// A watchdog whose budget exceeds twice the kernel's cycles never
+    /// fires and never clamps an interval: no team is killed and every
+    /// field of the result equals the run without a budget.
+    #[test]
+    fn watchdog_that_never_fires_is_pure(
+        n in 1usize..24,
+        warps in 1u32..16,
+        insts in 10.0f64..50_000.0,
+        bytes in 0.0f64..200_000.0,
+        slack in 0.0f64..4.0,
+    ) {
+        let blocks = mixed_blocks(n, warps, insts, bytes);
+        let params = alloc_params();
+        let interval = Some(2_500.0);
+        let free = simulate(&blocks, &params, true, None, interval);
+        let budget = free.cycles * (2.0 + slack) + 1.0;
+        let guarded = simulate(&blocks, &params, true, Some(budget), interval);
+        prop_assert!(guarded.timed_out_teams.is_empty());
+        prop_assert_eq!(guarded, free);
     }
 
     /// Trace totals are schedule-invariant: the same loop traced with
