@@ -4,6 +4,17 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# CI must leave the checkout as it found it: `git status --porcelain` is
+# compared before and after the run (last stage). perfbench/Cargo.lock is
+# left out, because every perfbench build still rewrites it (ROADMAP
+# item 3). Outside a git checkout there is nothing to compare.
+tree_state() {
+    git status --porcelain | grep -v ' perfbench/Cargo\.lock$' || true
+}
+if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
+    TREE_BEFORE="$(tree_state)"
+fi
+
 echo "== cargo build --release =="
 cargo build --release
 
@@ -166,7 +177,9 @@ SERVE="$PROF_TMP/serve"
 mkdir -p "$SERVE"
 # Invoke the built binary directly (not `cargo run`): the crash drills
 # signal the daemon's own PID, and the cargo wrapper neither forwards
-# SIGTERM nor survives SIGKILL semantics.
+# SIGTERM nor survives SIGKILL semantics. The workspace build above
+# builds only the root package, so build the daemon here.
+cargo build -q --release -p dgc-serve
 dgc_serve() { ./target/release/dgc-serve "$@"; }
 cat > "$SERVE/jobs.jsonl" <<'EOF'
 # serve CI workload: two apps, small args (fast even in simulation)
@@ -250,5 +263,19 @@ cargo fmt --check
 
 echo "== cargo clippy -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== tree: the checkout is as CI found it =="
+if [ -n "${TREE_BEFORE+set}" ]; then
+    tree_after="$(tree_state)"
+    if [ "$tree_after" != "$TREE_BEFORE" ]; then
+        echo "git status before:"
+        echo "$TREE_BEFORE"
+        echo "git status after:"
+        echo "$tree_after"
+        exit 1
+    fi
+else
+    echo "not a git checkout: skipped"
+fi
 
 echo "ci.sh: all green"

@@ -28,6 +28,10 @@ impl CoalesceResult {
     }
 }
 
+/// Sectors in [`coalesce`]'s bitmap: the window around the first active
+/// lane's sector that it counts without sorting.
+const WINDOW_SECTORS: u64 = 128;
+
 /// Coalesce one warp access: each active lane supplies the address of an
 /// `size`-byte element; the hardware merges them into 32-byte sector
 /// transactions.
@@ -36,9 +40,10 @@ impl CoalesceResult {
 /// `None` marks an inactive lane (predicated off or beyond the loop
 /// bound). `size` is a scalar size of at most one sector, so an access
 /// that straddles a sector boundary touches exactly two sectors, as on
-/// real hardware. The sectors are gathered in a stack buffer and only
-/// sorted when the lanes' addresses are not already non-decreasing, which
-/// dense and affine accesses always are.
+/// real hardware. Each sector sets a bit in a 128-sector bitmap that
+/// starts 64 sectors below the first active lane's sector, and the set
+/// bits are counted. A warp that touches a sector outside the bitmap is
+/// counted by sorting its sectors instead.
 pub fn coalesce(addrs: &[Option<u64>], size: u32) -> CoalesceResult {
     assert!(
         addrs.len() <= WARP_LANES && u64::from(size) <= SECTOR_BYTES,
@@ -46,6 +51,36 @@ pub fn coalesce(addrs: &[Option<u64>], size: u32) -> CoalesceResult {
         addrs.len()
     );
     let size = u64::from(size);
+    let mut lanes = addrs.iter().flatten();
+    let Some(&lead) = lanes.next() else {
+        return CoalesceResult::default();
+    };
+    // Offsets wrap below the base, so one unsigned compare catches a
+    // sector on either side of the bitmap.
+    let base = (lead / SECTOR_BYTES).wrapping_sub(WINDOW_SECTORS / 2);
+    let mut bits = 0u128;
+    let mut useful = 0u64;
+    for &addr in std::iter::once(&lead).chain(lanes) {
+        useful += size;
+        let first = (addr / SECTOR_BYTES).wrapping_sub(base);
+        let last = ((addr + size - 1) / SECTOR_BYTES).wrapping_sub(base);
+        if first >= WINDOW_SECTORS || last >= WINDOW_SECTORS {
+            return sort_and_count(addrs, size);
+        }
+        bits |= 1 << first | 1 << last;
+    }
+    let distinct = bits.count_ones();
+    CoalesceResult {
+        sectors: distinct,
+        useful_bytes: useful,
+        moved_bytes: u64::from(distinct) * SECTOR_BYTES,
+    }
+}
+
+/// [`coalesce`] for a warp whose sectors do not fit its bitmap: gather
+/// the sectors in a stack buffer, sort them unless the lanes' addresses
+/// are already non-decreasing, and count the distinct ones.
+fn sort_and_count(addrs: &[Option<u64>], size: u64) -> CoalesceResult {
     let mut buf = [0u64; 2 * WARP_LANES];
     let mut n = 0;
     let mut sorted = true;
@@ -68,11 +103,7 @@ pub fn coalesce(addrs: &[Option<u64>], size: u32) -> CoalesceResult {
     if !sorted {
         sectors.sort_unstable();
     }
-    let distinct = if n == 0 {
-        0
-    } else {
-        1 + sectors.windows(2).filter(|w| w[0] != w[1]).count()
-    };
+    let distinct = 1 + sectors.windows(2).filter(|w| w[0] != w[1]).count();
     CoalesceResult {
         sectors: distinct as u32,
         useful_bytes: useful,

@@ -189,9 +189,8 @@ struct CachedBlock {
 /// [`DeviceMemory::largest_free_block`].
 ///
 /// Live regions sit in an address-ordered `Vec`. Every access resolves its
-/// region once: the region of the last hit is tried first, and a miss
-/// binary-searches. Measured on perfbench's three workloads, 71–77 % of
-/// lookups hit.
+/// region once: the regions of the last two hits are tried first, most
+/// recent first, and a miss binary-searches.
 pub struct DeviceMemory {
     capacity: u64,
     free_list: Vec<(u64, u64)>, // (start, len), address-ordered, non-adjacent
@@ -200,10 +199,11 @@ pub struct DeviceMemory {
     /// Multiset of free-list hole lengths: len -> count.
     hole_sizes: BTreeMap<u64, u32>,
     regions: Vec<Region>, // address-ordered, disjoint
-    /// Index into `regions` of the last region a lookup hit. Allocs and
-    /// frees shift the indices, so it is only a guess: `find` checks that
-    /// the region it names holds the address before trusting it.
-    hint: Cell<usize>,
+    /// Indices into `regions` of the last two regions lookups hit, most
+    /// recent first. Allocs and frees shift the indices, so they are only
+    /// guesses: `find` checks that a slot's region holds the address
+    /// before trusting it.
+    hint: Cell<[usize; 2]>,
     next_region: u32,
     stats: HeapStats,
     generation: u64,
@@ -233,7 +233,7 @@ impl DeviceMemory {
             free_list_bytes: capacity,
             hole_sizes,
             regions: Vec::new(),
-            hint: Cell::new(0),
+            hint: Cell::new([0; 2]),
             next_region: 1,
             stats: HeapStats::default(),
             generation: 0,
@@ -649,15 +649,22 @@ impl DeviceMemory {
         self.find(addr).map(|i| self.regions[i].info)
     }
 
-    /// Index of the live region containing `addr`: the hinted region if
-    /// it holds `addr` (regions are disjoint, so then it is the one), else
-    /// a binary search, whose answer becomes the hint.
+    /// Index of the live region containing `addr`: a hinted region if it
+    /// holds `addr` (regions are disjoint, so then it is the one), else a
+    /// binary search. The region found moves to the front of the hint.
     fn find(&self, addr: u64) -> Option<usize> {
-        let hint = self.hint.get();
-        if let Some(r) = self.regions.get(hint) {
-            if r.info.start <= addr && addr - r.info.start < r.info.len {
-                return Some(hint);
-            }
+        let [recent, older] = self.hint.get();
+        let holds = |i: usize| {
+            self.regions
+                .get(i)
+                .is_some_and(|r| r.info.start <= addr && addr - r.info.start < r.info.len)
+        };
+        if holds(recent) {
+            return Some(recent);
+        }
+        if holds(older) {
+            self.hint.set([older, recent]);
+            return Some(older);
         }
         let i = self
             .regions
@@ -667,7 +674,7 @@ impl DeviceMemory {
         if addr - info.start >= info.len {
             return None;
         }
-        self.hint.set(i);
+        self.hint.set([i, recent]);
         Some(i)
     }
 
@@ -991,7 +998,9 @@ mod tests {
 
     /// A stale hint only misses: after the frees and allocs that shift
     /// the regions' indices, a freed block's address is unmapped until a
-    /// new allocation holds it, and then resolves to the new region.
+    /// new allocation holds it, and then resolves to the new region. Both
+    /// hint slots go stale this way after accesses that alternate between
+    /// two regions.
     #[test]
     fn region_hint_follows_allocs_and_frees() {
         let mut mem = DeviceMemory::new(1 << 20);
@@ -1009,6 +1018,50 @@ mod tests {
         assert_eq!(mem.load::<u64>(c).unwrap(), 0);
         assert_eq!(mem.load::<u64>(b).unwrap(), 2);
         assert_ne!(mem.region_of(c.0).unwrap().id, RegionId(1));
+
+        // Each live block holds its value at offset 0 and is 256 B long.
+        let check = |mem: &mut DeviceMemory, live: &[(DevicePtr, u64)], dead: &[DevicePtr]| {
+            for &(p, v) in live {
+                assert_eq!(mem.load::<u64>(p).unwrap(), v);
+                mem.store::<u64>(p.byte_add(8), v).unwrap();
+                assert_eq!(mem.load::<u64>(p.byte_add(8)).unwrap(), v);
+                assert!(matches!(
+                    mem.load::<u64>(p.byte_add(252)),
+                    Err(AccessError::OutOfBounds { .. })
+                ));
+            }
+            for &p in dead {
+                let unmapped = AccessError::Unmapped { addr: p.0 };
+                assert_eq!(mem.load::<u64>(p).unwrap_err(), unmapped);
+                assert_eq!(mem.store::<u64>(p, 9).unwrap_err(), unmapped);
+            }
+        };
+        let alternate = |mem: &mut DeviceMemory, x: DevicePtr, y: DevicePtr| {
+            for _ in 0..3 {
+                assert_eq!(mem.load::<u64>(x).unwrap(), 1);
+                assert_eq!(mem.load::<u64>(y).unwrap(), 2);
+            }
+        };
+        let mut mem = DeviceMemory::new(1 << 20);
+        let low = mem.alloc(256).unwrap();
+        let x = mem.alloc(256).unwrap();
+        let mid = mem.alloc(256).unwrap();
+        let y = mem.alloc(256).unwrap();
+        mem.store::<u64>(x, 1).unwrap();
+        mem.store::<u64>(y, 2).unwrap();
+        // The slots name y and x; the free moves every index down one.
+        alternate(&mut mem, x, y);
+        mem.free(low).unwrap();
+        check(&mut mem, &[(x, 1), (mid, 0), (y, 2)], &[low]);
+        // First fit puts the new block below them all: every index moves up.
+        alternate(&mut mem, x, y);
+        let new = mem.alloc(256).unwrap();
+        assert_eq!(new, low);
+        check(&mut mem, &[(new, 0), (x, 1), (mid, 0), (y, 2)], &[]);
+        // A free between the hinted regions: y's index moves, x's does not.
+        alternate(&mut mem, x, y);
+        mem.free(mid).unwrap();
+        check(&mut mem, &[(new, 0), (x, 1), (y, 2)], &[mid]);
     }
 
     /// Slice copies resolve once per region but behave as element-by-

@@ -54,6 +54,49 @@ fn warp(
         .collect()
 }
 
+/// The coalescer counts sectors in a 128-sector bitmap from 64 sectors
+/// below the first active lane's sector, and sorts only when a sector
+/// falls outside it. Each warp here puts a lane on or just past an edge
+/// of that bitmap, with the first active lane behind inactive ones.
+#[test]
+fn coalesce_bitmap_edges_match_reference() {
+    // Byte `off` of the sector `s` sectors away from the first lane's.
+    let at = |s: i64, off: u64| 1_000u64.wrapping_add_signed(s) * SECTOR_BYTES + off;
+    let lead = at(0, 8);
+    let cases: [(&str, Vec<u64>, u32); 7] = [
+        ("lowest sector in", vec![at(-64, 0)], 8),
+        ("highest sector in", vec![at(63, 24)], 8),
+        ("first sector above", vec![at(64, 0)], 8),
+        ("first sector below", vec![at(-65, 24)], 8),
+        ("straddle out of the top", vec![at(63, 24)], 16),
+        ("straddle into the bottom", vec![at(-65, 24)], 16),
+        (
+            "both edges and beyond",
+            vec![at(-64, 0), at(63, 28), at(64, 0), at(0, 4)],
+            4,
+        ),
+    ];
+    for (name, others, size) in cases {
+        let addrs: Vec<Option<u64>> = [None, Some(lead), None]
+            .into_iter()
+            .chain(others.into_iter().map(Some))
+            .collect();
+        let r = coalesce(&addrs, size);
+        assert_eq!(
+            (r.sectors, r.useful_bytes, r.moved_bytes),
+            reference_coalesce(&addrs, size),
+            "{name}"
+        );
+    }
+    // A first lane near address 0 puts the bitmap's base below zero.
+    let low = [Some(8), Some(3 * SECTOR_BYTES), Some(70 * SECTOR_BYTES)];
+    let r = coalesce(&low, 8);
+    assert_eq!(
+        (r.sectors, r.useful_bytes, r.moved_bytes),
+        reference_coalesce(&low, 8)
+    );
+}
+
 proptest! {
     /// Live allocations never overlap and stay inside the heap, across an
     /// arbitrary interleaving of allocs and frees.
@@ -134,12 +177,12 @@ proptest! {
         }
     }
 
-    /// The stack-buffer coalescer agrees with the sort-and-dedup
-    /// reference on every warp shape: 0–32 lanes, inactive lanes, sizes
-    /// 1–8, duplicates, straddles, ascending, descending and scattered.
+    /// The coalescer agrees with the sort-and-dedup reference on every
+    /// warp shape: 0–32 lanes, inactive lanes, sizes 1–32, duplicates,
+    /// straddles, ascending, descending and scattered.
     #[test]
     fn coalesce_matches_reference(
-        (order, lanes, base, size) in (0u8..4, 0usize..WARP_LANES + 1, 1u64..100_000, prop::sample::select(vec![1u32, 2, 4, 8])),
+        (order, lanes, base, size) in (0u8..4, 0usize..WARP_LANES + 1, 1u64..100_000, prop::sample::select(vec![1u32, 2, 4, 8, 16, 32])),
         stride in prop::sample::select(vec![0u64, 1, 2, 4, 8, 12, 16, 24, 32, 40, 64, 256]),
         pool in prop::collection::vec(0u64..512, WARP_LANES),
         active in prop::collection::vec(0u8..4, WARP_LANES),

@@ -106,7 +106,7 @@ struct Rec {
 
 /// Per-lane scratch state for the current round of a parallel phase.
 #[derive(Debug, Default)]
-struct LaneScratch {
+pub(crate) struct LaneScratch {
     recs: Vec<Rec>,
     /// Shared-memory byte offsets accessed this round, in program order
     /// (for bank-conflict analysis).
@@ -133,24 +133,25 @@ impl LaneScratch {
 /// Number of shared-memory banks (4-byte wide), as on NVIDIA devices.
 const SHARED_BANKS: u32 = 32;
 
-/// Serialization degree of one warp-wide shared-memory access: the maximum
-/// number of *distinct addresses* mapped to the same bank. Lanes reading
-/// the same address broadcast and do not conflict.
+/// Serialization degree of one warp-wide shared-memory access (at most
+/// [`WARP_LANES`] byte offsets): the maximum number of *distinct
+/// addresses* mapped to the same bank. Lanes reading the same address
+/// broadcast and do not conflict. A word lies in exactly one bank, so
+/// counting each distinct word once in its bank gives the degree.
 fn bank_conflict_degree(offsets: &[u32]) -> u32 {
-    let mut per_bank: [Vec<u32>; SHARED_BANKS as usize] = Default::default();
+    debug_assert!(offsets.len() <= WARP_LANES);
+    let mut words = [0u32; WARP_LANES];
+    let mut distinct = 0;
+    let mut per_bank = [0u32; SHARED_BANKS as usize];
     for &off in offsets {
-        let bank = ((off / 4) % SHARED_BANKS) as usize;
         let word = off / 4;
-        if !per_bank[bank].contains(&word) {
-            per_bank[bank].push(word);
+        if !words[..distinct].contains(&word) {
+            words[distinct] = word;
+            distinct += 1;
+            per_bank[(word % SHARED_BANKS) as usize] += 1;
         }
     }
-    per_bank
-        .iter()
-        .map(|b| b.len() as u32)
-        .max()
-        .unwrap_or(0)
-        .max(1)
+    per_bank.into_iter().fold(1, u32::max)
 }
 
 /// State shared between the team and its lanes during functional execution.
@@ -349,7 +350,32 @@ impl<'g> TeamCtx<'g> {
         default_tag: u32,
         shared_limit: u64,
     ) -> Self {
+        Self::with_lanes(
+            mem,
+            team_id,
+            num_teams,
+            lane_count,
+            default_tag,
+            shared_limit,
+            Vec::new(),
+        )
+    }
+
+    /// [`TeamCtx::new`] on lane buffers an earlier team handed back through
+    /// [`TeamCtx::finish_with_lanes`]. They keep their capacity, and their
+    /// stale contents are never read: `serial` clears lane 0 before it
+    /// runs, and each `parallel_for` round clears every lane.
+    pub(crate) fn with_lanes(
+        mem: &'g mut DeviceMemory,
+        team_id: u32,
+        num_teams: u32,
+        lane_count: u32,
+        default_tag: u32,
+        shared_limit: u64,
+        mut lanes: Vec<LaneScratch>,
+    ) -> Self {
         assert!(lane_count >= 1, "a team needs at least one thread");
+        lanes.resize_with(lane_count as usize, LaneScratch::default);
         let warp_count = lane_count.div_ceil(WARP_LANES as u32);
         let inner = TeamInner {
             mem,
@@ -379,7 +405,7 @@ impl<'g> TeamCtx<'g> {
             team_id,
             num_teams,
             lane_count,
-            scratches: (0..lane_count).map(|_| LaneScratch::default()).collect(),
+            scratches: lanes,
             error: None,
         }
     }
@@ -553,6 +579,12 @@ impl<'g> TeamCtx<'g> {
         self.trace
     }
 
+    /// Finish execution and hand back the trace and the lane buffers, for
+    /// the next team of the launch ([`TeamCtx::with_lanes`]).
+    pub(crate) fn finish_with_lanes(self) -> (TeamTrace, Vec<LaneScratch>) {
+        (self.trace, self.scratches)
+    }
+
     /// The trace built so far (for inspection in tests).
     pub fn trace(&self) -> &TeamTrace {
         &self.trace
@@ -685,6 +717,7 @@ impl<'g> TeamCtx<'g> {
 mod tests {
     use super::*;
     use gpu_mem::DeviceMemory;
+    use proptest::prelude::*;
 
     fn mem() -> DeviceMemory {
         DeviceMemory::new(1 << 24)
@@ -821,6 +854,50 @@ mod tests {
         let broadcast: Vec<u32> = vec![64; 32];
         assert_eq!(bank_conflict_degree(&broadcast), 1);
         assert_eq!(bank_conflict_degree(&[]), 1);
+    }
+
+    /// The per-bank `Vec` version of [`bank_conflict_degree`], kept as its
+    /// reference.
+    fn reference_bank_conflict_degree(offsets: &[u32]) -> u32 {
+        let mut per_bank: [Vec<u32>; SHARED_BANKS as usize] = Default::default();
+        for &off in offsets {
+            let bank = ((off / 4) % SHARED_BANKS) as usize;
+            let word = off / 4;
+            if !per_bank[bank].contains(&word) {
+                per_bank[bank].push(word);
+            }
+        }
+        per_bank
+            .iter()
+            .map(|b| b.len() as u32)
+            .max()
+            .unwrap_or(0)
+            .max(1)
+    }
+
+    proptest! {
+        /// The stack-array degree equals the reference on 0–32 lanes of
+        /// scattered byte offsets, of broadcasts (lanes sharing a few
+        /// words) and of word strides, 32 words being one bank apart.
+        #[test]
+        fn bank_conflict_degree_matches_reference(
+            (shape, lanes) in (0u8..3, 0usize..WARP_LANES + 1),
+            base in 0u32..4_096,
+            stride in prop::sample::select(vec![1u32, 2, 3, 4, 8, 16, 32, 64, 96, 128]),
+            picks in prop::collection::vec(0u32..1 << 14, WARP_LANES),
+        ) {
+            let offsets: Vec<u32> = (0..lanes)
+                .map(|l| match shape {
+                    0 => picks[l],
+                    1 => base + 4 * (picks[l] % 3),
+                    _ => base + 4 * stride * l as u32,
+                })
+                .collect();
+            prop_assert_eq!(
+                bank_conflict_degree(&offsets),
+                reference_bank_conflict_degree(&offsets)
+            );
+        }
     }
 
     #[test]

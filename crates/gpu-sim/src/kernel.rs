@@ -224,6 +224,9 @@ impl Gpu {
             (0..num_blocks).map(|_| BlockTrace::default()).collect();
         let mut outcomes = Vec::with_capacity(spec.num_teams as usize);
         let mut max_shared = 0u64;
+        // Lane buffers pass from each team to the next, so later teams
+        // reuse their capacity instead of growing them from empty.
+        let mut lanes = Vec::new();
         for team in 0..spec.num_teams {
             let injected = spec.fault_of_team.and_then(|f| f(team));
             let free_bytes = match injected {
@@ -231,13 +234,14 @@ impl Gpu {
                 _ => 0,
             };
             let tag = spec.tag_of_team.map(|f| f(team)).unwrap_or(team);
-            let mut ctx = TeamCtx::new(
+            let mut ctx = TeamCtx::with_lanes(
                 &mut self.mem,
                 team,
                 spec.num_teams,
                 spec.lanes_per_team,
                 tag,
                 self.spec.shared_mem_per_block,
+                std::mem::take(&mut lanes),
             );
             if let Some(hook) = host_hook.as_deref_mut() {
                 ctx.set_host_call(hook, spec.rpc_services.clone());
@@ -260,7 +264,8 @@ impl Gpu {
                 },
             };
             max_shared = max_shared.max(ctx.shared_bytes_used());
-            let mut trace = ctx.finish();
+            let (mut trace, used) = ctx.finish_with_lanes();
+            lanes = used;
             if let Some(InjectedTeamFault::Hang { stall_cycles }) = injected {
                 // The hang is an extra barrier-delimited phase whose only
                 // content is injected latency on warp 0; every sibling warp

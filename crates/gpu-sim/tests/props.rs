@@ -2,9 +2,10 @@
 //! execution layer.
 
 use gpu_arch::GpuSpec;
-use gpu_mem::DeviceMemory;
+use gpu_mem::{DeviceMemory, DevicePtr};
 use gpu_sim::{
-    simulate_timing, BlockTrace, MixedSeg, Phase, TeamCtx, TeamTrace, TimingInputs, TimingParams,
+    simulate_timing, BlockTrace, Gpu, KernelError, KernelSpec, MixedSeg, Phase, TeamCtx,
+    TeamOutcome, TeamTrace, TimingInputs, TimingParams,
 };
 use proptest::prelude::*;
 
@@ -130,6 +131,44 @@ fn simulate(
 
 fn run(blocks: &[BlockTrace]) -> f64 {
     simulate(blocks, &TimingParams::default(), false, None, None).cycles
+}
+
+/// The team body of `pooled_lane_buffers_are_invisible`. Team `t` reads
+/// and writes `buf` (`len` f64s, allocated before the launch) and one
+/// shared array over `trips[t]` iterations, each lane recording 0–3 loads
+/// depending on its iteration. Every third team runs serial regions only,
+/// and team `fail` stores through a null pointer halfway through its loop.
+fn pool_probe(
+    buf: DevicePtr,
+    len: u64,
+    trips: &[u64],
+    fail: u32,
+) -> impl Fn(&mut TeamCtx<'_>) -> Result<i32, KernelError> + '_ {
+    move |ctx| {
+        let t = ctx.team_id();
+        let trip = trips[t as usize];
+        let sh = ctx.shared_alloc::<u32>(64)?;
+        ctx.serial("init", |lane| {
+            lane.work(f64::from(t) + 1.0);
+            lane.ld_idx::<f64>(buf, u64::from(t) % len)?;
+            lane.st_idx::<f64>(buf, u64::from(t) % len, f64::from(t))
+        })?;
+        if t % 3 == 2 {
+            ctx.serial("tail", |lane| lane.sh_st::<u32>(&sh, 0, t))?;
+            return Ok(1);
+        }
+        ctx.parallel_for("loop", trip, |i, lane| {
+            for k in 0..i % 4 {
+                lane.ld_idx::<f64>(buf, (i * 7 + k * 13) % len)?;
+            }
+            lane.sh_st::<u32>(&sh, (i * 5 % 64) as usize, i as u32)?;
+            if t == fail && i == trip / 2 {
+                lane.st::<f64>(DevicePtr(0), 0.0)?;
+            }
+            lane.st_idx::<f64>(buf, i % len, i as f64)
+        })?;
+        Ok(0)
+    }
 }
 
 proptest! {
@@ -303,5 +342,48 @@ proptest! {
             ctx.finish().total_useful_bytes()
         };
         prop_assert_eq!(useful(lanes_a), useful(lanes_b));
+    }
+
+    /// A launch hands one set of lane buffers from team to team, and
+    /// nothing of one team shows in the next: with trip counts that shrink
+    /// from team to team, serial-only teams and a team whose
+    /// `parallel_for` fails mid-round, each team's outcome and trace equal
+    /// those of the same body on a fresh `TeamCtx`. The teams touch only
+    /// memory allocated before the launch, so the fresh runs after it see
+    /// the same regions.
+    #[test]
+    fn pooled_lane_buffers_are_invisible(
+        lanes in 1u32..300,
+        mut trips in prop::collection::vec(0u64..1_500, 2..7),
+        fail_pick in 0u32..8,
+        len in 1u64..4_000,
+    ) {
+        trips.sort_unstable_by(|a, b| b.cmp(a));
+        let teams = trips.len() as u32;
+        let fail = match fail_pick % teams {
+            t if t % 3 == 2 => t - 1,
+            t => t,
+        };
+        let mut gpu = Gpu::a100();
+        let buf = gpu.mem.alloc(len * 8).unwrap();
+        let body = pool_probe(buf, len, &trips, fail);
+        let mut spec = KernelSpec::new("pool", teams, lanes);
+        spec.keep_traces = true;
+        let res = gpu.launch(&spec, None, &body).unwrap();
+        let traces = res.block_traces.unwrap();
+        if trips[fail as usize] > 0 {
+            let failed = &res.team_outcomes[fail as usize];
+            prop_assert!(matches!(failed, TeamOutcome::Trap(_)), "team {} gave {:?}", fail, failed);
+        }
+        for t in 0..teams {
+            let shared = gpu.spec.shared_mem_per_block;
+            let mut fresh = TeamCtx::new(&mut gpu.mem, t, teams, lanes, t, shared);
+            let outcome = match body(&mut fresh) {
+                Ok(code) => TeamOutcome::Return(code),
+                Err(e) => TeamOutcome::Trap(e),
+            };
+            prop_assert_eq!(&res.team_outcomes[t as usize], &outcome, "team {}", t);
+            prop_assert_eq!(&traces[t as usize].teams[0], fresh.trace(), "team {}", t);
+        }
     }
 }
