@@ -15,6 +15,19 @@ if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
     TREE_BEFORE="$(tree_state)"
 fi
 
+echo "== launch path: one thread =="
+# A launch runs on its caller's thread: teams execute one after another
+# and the host serves each RPC call inline, in device order. No crate a
+# launch runs through may spawn a thread; dgc-serve and dgc-monitor keep
+# their I/O and snapshot threads.
+for crate in gpu-arch gpu-mem gpu-sim host-rpc device-libc dgc-ir dgc-compiler \
+    core apps dgc-obs dgc-sched dgc-fault; do
+    if grep -rnE 'thread::(spawn|Builder)' "crates/$crate/src"; then
+        echo "thread spawn under crates/$crate/src: the launch path stays on one thread"
+        exit 1
+    fi
+done
+
 echo "== cargo build --release =="
 cargo build --release
 

@@ -1,6 +1,6 @@
 use crate::app::{build_globals, AppContext, HostApp};
 use crate::argfile::ArgFileError;
-use crate::loader::{alloc_device_globals, inject_main_wrapper, make_rpc_hook, GLOBALS_TAG};
+use crate::loader::{alloc_device_globals, inject_main_wrapper, GLOBALS_TAG};
 use dgc_compiler::{compile, CompileError, CompilerOptions};
 use dgc_ir::{Module, ParseError};
 use dgc_obs::{
@@ -9,7 +9,7 @@ use dgc_obs::{
 };
 use gpu_mem::{AllocError, TransferDirection};
 use gpu_sim::{Gpu, InjectedTeamFault, KernelError, KernelSpec, SimError, SimReport, TeamOutcome};
-use host_rpc::{HostServices, RpcFaultHook, RpcServer, RpcStats};
+use host_rpc::{HostServices, RpcFaultHook, RpcHost, RpcObserver, RpcStats};
 use serde::Value;
 
 /// How instances map onto the GPU.
@@ -343,7 +343,7 @@ pub fn run_ensemble_traced(
 pub struct LaunchFaults<'a> {
     /// Per-team fault: called once per global team id at launch.
     pub team_fault: Option<&'a dyn Fn(u32) -> Option<InjectedTeamFault>>,
-    /// Server-side RPC interceptor (runs before the service handler, so
+    /// Host-side RPC interceptor (runs before the service handler, so
     /// faulted calls have no host side effects).
     pub rpc_fault: Option<RpcFaultHook>,
     /// Watchdog: per-instance cycle budget; teams still running past it
@@ -443,12 +443,12 @@ pub fn run_ensemble_injected(
         .clone()
         .map(|m| move |done: u32, total: u32| m.team_done(0, done, total));
     let rpc_observer = monitor.clone().map(|m| {
-        std::sync::Arc::new(move |_service: u32, _instance: u32, errored: bool| {
+        Box::new(move |_service: u32, _instance: u32, errored: bool| {
             m.rpc_activity(1, u64::from(errored));
-        }) as host_rpc::RpcObserver
+        }) as RpcObserver
     });
 
-    let (server, client) = RpcServer::spawn_observed(services, faults.rpc_fault, rpc_observer);
+    let mut host = RpcHost::new(services, faults.rpc_fault, rpc_observer);
     let kernel_name = format!("{}-x{}", app.name, n);
     let mut spec = KernelSpec::new(&kernel_name, n, lanes_per_team);
     spec.teams_per_block = teams_per_block;
@@ -476,7 +476,8 @@ pub fn run_ensemble_injected(
     let image_ref = &image;
     let dg_ref = &device_globals;
     let argvs_ref = &argvs;
-    let mut hook = make_rpc_hook(&client);
+    let mut hook =
+        |_service: u32, payload: &[u8]| host.call_raw(payload).map_err(|e| e.to_string());
     let launch = gpu.launch(&spec, Some(&mut hook), move |team| {
         let i = team.team_id();
         let globals = build_globals(team, image_ref, dg_ref)?;
@@ -504,7 +505,7 @@ pub fn run_ensemble_injected(
         gpu.mem.free_by_tag(i);
     }
     gpu.mem.free_by_tag(GLOBALS_TAG);
-    let services = server.shutdown();
+    let services = host.into_services();
     let launch = launch.map_err(EnsembleError::Launch)?;
 
     // map(from: Ret[:NI]).

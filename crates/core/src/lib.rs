@@ -6,7 +6,7 @@
 //! * [`Loader`] — the original direct-GPU-compilation loader \[26\]: one
 //!   application instance runs as a single team on the device, with the
 //!   *main wrapper* as the new host entry point, command-line arguments
-//!   mapped to the device, and the RPC service thread started.
+//!   mapped to the device, and the host serving its RPC calls.
 //! * [`run_ensemble`] — **this paper's enhanced loader**: `NI` instances of
 //!   the application run concurrently inside one kernel launch, instance
 //!   `i` mapped to team `i` via the equivalent of
@@ -21,7 +21,10 @@
 //! generation, globals placement), the resulting image decides which RPC
 //! services are reachable and where globals live, and the kernel executes
 //! on the `gpu-sim` device with per-instance heap tagging — which is what
-//! the DRAM-interference model observes.
+//! the DRAM-interference model observes. Every launcher runs on its
+//! caller's thread: teams execute one after another, and a
+//! `host_rpc::RpcHost` serves each device RPC call inline, in the order
+//! the device issues them.
 
 mod app;
 mod argfile;

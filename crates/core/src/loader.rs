@@ -1,11 +1,9 @@
 use crate::app::{build_globals, AppContext, HostApp};
 use dgc_compiler::{compile, CompileError, CompiledImage, CompilerOptions};
 use dgc_ir::{Attr, Function, Module, ParseError};
-use dgc_obs::{record_schedule, Recorder, PID_HOST};
 use gpu_mem::{AllocError, Backing, DevicePtr, TransferDirection};
 use gpu_sim::{Gpu, KernelSpec, SimError, TeamOutcome};
-use host_rpc::{HostServices, RpcClient, RpcServer, RpcStats};
-use serde::Value;
+use host_rpc::{HostServices, RpcHost, RpcStats};
 use std::collections::BTreeMap;
 
 /// Heap-region tag used for module globals (shared by all instances, so it
@@ -104,58 +102,20 @@ impl Loader {
         args: &[&str],
         services: HostServices,
     ) -> Result<AppRunResult, LoaderError> {
-        self.run_traced(gpu, app, args, services, &mut Recorder::disabled())
-    }
-
-    /// [`Loader::run`] with an observability [`Recorder`]: records the
-    /// loader timeline (compile, argument H2D, kernel envelope, result
-    /// D2H) and the device schedule when the recorder is enabled.
-    pub fn run_traced(
-        &self,
-        gpu: &mut Gpu,
-        app: &HostApp,
-        args: &[&str],
-        mut services: HostServices,
-        obs: &mut Recorder,
-    ) -> Result<AppRunResult, LoaderError> {
-        let traced = obs.is_enabled();
-        if traced {
-            obs.name_process(PID_HOST, "loader");
-            obs.name_thread(PID_HOST, 0, "timeline");
-        }
         let image = self.compile_app(app)?;
-        if traced {
-            obs.instant(PID_HOST, 0, "compile + link wrapper", "loader", 0.0);
-        }
         let argv: Vec<String> = std::iter::once(app.name.to_string())
             .chain(args.iter().map(|s| s.to_string()))
             .collect();
-        services_default_files(&mut services);
 
         // Map program arguments to the device (main-wrapper behaviour).
         let argv_bytes: u64 = argv.iter().map(|a| a.len() as u64 + 1).sum();
-        let h2d_s = gpu
+        let mut transfer_seconds = gpu
             .transfers
             .record(TransferDirection::HostToDevice, argv_bytes);
-        let mut transfer_seconds = h2d_s;
-        if traced {
-            obs.span_args(
-                PID_HOST,
-                0,
-                "h2d argv",
-                "loader",
-                0.0,
-                h2d_s * 1e6,
-                vec![("bytes".into(), Value::U64(argv_bytes))],
-            );
-        }
 
         let device_globals = alloc_device_globals(gpu, &image).map_err(LoaderError::Globals)?;
-        if traced {
-            obs.instant(PID_HOST, 0, "alloc globals", "loader", h2d_s * 1e6);
-        }
 
-        let (server, client) = RpcServer::spawn(services);
+        let mut host = RpcHost::new(services, None, None);
         let footprint = app
             .footprint_scale
             .map(|f| f(&argv))
@@ -166,13 +126,13 @@ impl Loader {
         spec.rpc_services = Some(image.rpc_services.iter().copied().collect());
         spec.footprint_multiplier = footprint;
         spec.keep_traces = self.keep_traces;
-        spec.collect_detail = traced;
         spec.collect_stalls = self.collect_stalls;
         let main_fn = app.main;
         let argv_ref = &argv;
         let image_ref = &image;
         let dg_ref = &device_globals;
-        let mut hook = make_rpc_hook(&client);
+        let mut hook =
+            |_service: u32, payload: &[u8]| host.call_raw(payload).map_err(|e| e.to_string());
         let launch = gpu.launch(&spec, Some(&mut hook), move |team| {
             let globals = build_globals(team, image_ref, dg_ref)?;
             let cx = AppContext {
@@ -187,42 +147,11 @@ impl Loader {
         // Tear down device state regardless of launch outcome.
         gpu.mem.free_by_tag(0);
         gpu.mem.free_by_tag(GLOBALS_TAG);
-        let services = server.shutdown();
+        let services = host.into_services();
         let launch = launch.map_err(LoaderError::Launch)?;
 
         // map(from: Ret) — copy the return code back.
-        let d2h_s = gpu.transfers.record(TransferDirection::DeviceToHost, 4);
-        transfer_seconds += d2h_s;
-
-        if traced {
-            let kernel_start_us = h2d_s * 1e6;
-            let kernel_us = launch.report.sim_time_s * 1e6;
-            obs.span_args(
-                PID_HOST,
-                0,
-                app.name,
-                "kernel",
-                kernel_start_us,
-                kernel_us,
-                vec![("blocks".into(), Value::U64(launch.report.blocks as u64))],
-            );
-            if let Some(sched) = &launch.schedule {
-                record_schedule(
-                    obs,
-                    sched,
-                    gpu.spec.cycles_to_seconds(1.0) * 1e6,
-                    kernel_start_us + gpu.spec.launch_overhead_us,
-                );
-            }
-            obs.span(
-                PID_HOST,
-                0,
-                "d2h results",
-                "loader",
-                kernel_start_us + kernel_us,
-                d2h_s * 1e6,
-            );
-        }
+        transfer_seconds += gpu.transfers.record(TransferDirection::DeviceToHost, 4);
 
         let (exit_code, trap) = match &launch.team_outcomes[0] {
             TeamOutcome::Return(c) => (Some(services.exit_code_of(0).unwrap_or(*c)), None),
@@ -274,18 +203,6 @@ pub(crate) fn alloc_device_globals(
     Ok(out)
 }
 
-/// Build the simulator host-call hook from an RPC client.
-pub(crate) fn make_rpc_hook(
-    client: &RpcClient,
-) -> impl FnMut(u32, &[u8]) -> Result<Vec<u8>, String> + '_ {
-    move |_service, payload| client.call_raw(payload).map_err(|e| e.to_string())
-}
-
-fn services_default_files(_services: &mut HostServices) {
-    // Hook for future default files (e.g. /proc-style metadata); kept so
-    // the loaders share one place to extend.
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -334,27 +251,6 @@ module "hello" {
         assert_eq!(res.rpc_stats.stdio_calls, 1);
         // Loader cleaned the device heap.
         assert_eq!(gpu.mem.stats().live_allocations, 0);
-    }
-
-    #[test]
-    fn traced_loader_run_is_identical_and_records_timeline() {
-        let mut gpu = Gpu::a100();
-        let plain = Loader::default()
-            .run(&mut gpu, &app(), &["-x"], HostServices::default())
-            .unwrap();
-        let mut gpu = Gpu::a100();
-        let mut obs = Recorder::enabled();
-        let traced = Loader::default()
-            .run_traced(&mut gpu, &app(), &["-x"], HostServices::default(), &mut obs)
-            .unwrap();
-        assert_eq!(plain.report, traced.report);
-        assert_eq!(plain.stdout, traced.stdout);
-        let cats: Vec<&str> = obs.events().iter().map(|e| e.cat.as_str()).collect();
-        for want in ["loader", "kernel", "block", "phase"] {
-            assert!(cats.contains(&want), "missing {want} events in {cats:?}");
-        }
-        // The exported document is a valid Chrome trace.
-        assert!(dgc_obs::validate_chrome_trace(&obs.to_chrome_trace()).unwrap() > 0);
     }
 
     #[test]

@@ -23,12 +23,12 @@
 //! the motivation of §3).
 
 use crate::app::{build_globals, AppContext, HostApp};
-use crate::loader::{alloc_device_globals, inject_main_wrapper, make_rpc_hook, GLOBALS_TAG};
+use crate::loader::{alloc_device_globals, inject_main_wrapper, GLOBALS_TAG};
 use dgc_compiler::{compile, CompilerOptions};
 use dgc_ir::Module;
 use gpu_mem::TransferDirection;
 use gpu_sim::{simulate_timing, BlockTrace, MixedSeg, Phase, TeamCtx, TeamTrace, TimingInputs};
-use host_rpc::{HostServices, RpcServer, RpcStats};
+use host_rpc::{HostServices, RpcHost, RpcStats};
 
 use crate::loader::LoaderError;
 
@@ -116,7 +116,7 @@ pub fn run_multi_team(
     let device_globals = alloc_device_globals(gpu, &image).map_err(LoaderError::Globals)?;
 
     // ---- Functional execution with the expanded lane count. ----
-    let (server, client) = RpcServer::spawn(services);
+    let mut host = RpcHost::new(services, None, None);
     let lanes = num_teams * thread_limit;
     let footprint = app
         .footprint_scale
@@ -126,7 +126,8 @@ pub fn run_multi_team(
     let outcome;
     let trace: TeamTrace;
     {
-        let mut hook = make_rpc_hook(&client);
+        let mut hook =
+            |_service: u32, payload: &[u8]| host.call_raw(payload).map_err(|e| e.to_string());
         let mut ctx = TeamCtx::new(&mut gpu.mem, 0, 1, lanes, 0, gpu.spec.shared_mem_per_block);
         ctx.set_host_call(
             &mut hook,
@@ -146,7 +147,7 @@ pub fn run_multi_team(
     }
     gpu.mem.free_by_tag(0);
     gpu.mem.free_by_tag(GLOBALS_TAG);
-    let services = server.shutdown();
+    let services = host.into_services();
 
     // ---- Phase-by-phase timing: one kernel per phase. ----
     let warps_per_team = thread_limit.div_ceil(32);

@@ -159,14 +159,6 @@ struct Region {
     data: Option<Vec<u8>>,
 }
 
-/// One block parked in a per-team size-class ring, remembering the
-/// allocator generation at which it was freed (generational pruning).
-#[derive(Debug, Clone, Copy)]
-struct CachedBlock {
-    start: u64,
-    freed_gen: u64,
-}
-
 /// The simulated device's global memory: address space, heap allocator and
 /// backing store.
 ///
@@ -176,9 +168,8 @@ struct CachedBlock {
 ///    freed blocks park in a bounded ring per (tag, aligned size) and are
 ///    handed back on exact-size re-allocation by the same team — the
 ///    free-then-realloc churn of iterative kernels never touches the
-///    global list. Rings are generation-stamped so stale blocks can be
-///    pruned ([`DeviceMemory::prune_stale`]), and a failed global
-///    allocation flushes every ring back (coalescing) before reporting OOM.
+///    global list. A failed global allocation flushes every ring back
+///    (coalescing) before reporting OOM.
 /// 2. **Global first-fit** over an address-ordered free list with
 ///    coalescing on release — deterministic and the only level active by
 ///    default, which keeps the legacy single-level behaviour bit-identical.
@@ -206,7 +197,6 @@ pub struct DeviceMemory {
     hint: Cell<[usize; 2]>,
     next_region: u32,
     stats: HeapStats,
-    generation: u64,
     /// Live bytes per region tag (instance heap sizes under ensembles).
     tag_bytes: BTreeMap<u32, u64>,
     /// High-water mark of `tag_bytes` since creation (or the last
@@ -216,8 +206,8 @@ pub struct DeviceMemory {
     /// Per-team recycling on/off. Off by default: the global first-fit
     /// path alone is bit-identical to the historical allocator.
     free_lists_enabled: bool,
-    /// tag -> aligned size -> ring of parked blocks, oldest first.
-    team_caches: BTreeMap<u32, BTreeMap<u64, VecDeque<CachedBlock>>>,
+    /// tag -> aligned size -> ring of parked block starts, oldest first.
+    team_caches: BTreeMap<u32, BTreeMap<u64, VecDeque<u64>>>,
     /// Total bytes parked across all team rings.
     cached_bytes: u64,
 }
@@ -236,19 +226,12 @@ impl DeviceMemory {
             hint: Cell::new([0; 2]),
             next_region: 1,
             stats: HeapStats::default(),
-            generation: 0,
             tag_bytes: BTreeMap::new(),
             tag_peaks: BTreeMap::new(),
             free_lists_enabled: false,
             team_caches: BTreeMap::new(),
             cached_bytes: 0,
         }
-    }
-
-    /// Monotone counter bumped on every allocation or free: the age unit
-    /// of [`DeviceMemory::prune_stale`].
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 
     pub fn capacity(&self) -> u64 {
@@ -426,10 +409,10 @@ impl DeviceMemory {
             return None;
         }
         let ring = self.team_caches.get_mut(&tag)?.get_mut(&alen)?;
-        let block = ring.pop_back()?;
+        let start = ring.pop_back()?;
         self.cached_bytes -= alen;
         self.stats.recycled_allocations += 1;
-        Some(block.start)
+        Some(start)
     }
 
     /// Park a freed block in `tag`'s size-class ring, spilling the oldest
@@ -441,15 +424,12 @@ impl DeviceMemory {
             .or_default()
             .entry(len)
             .or_default();
-        ring.push_back(CachedBlock {
-            start,
-            freed_gen: self.generation,
-        });
+        ring.push_back(start);
         self.cached_bytes += len;
         if ring.len() > RING_CAP {
             let oldest = ring.pop_front().expect("ring just overflowed");
             self.cached_bytes -= len;
-            self.release_to_free_list(oldest.start, len);
+            self.release_to_free_list(oldest, len);
         }
     }
 
@@ -458,9 +438,9 @@ impl DeviceMemory {
         let caches = std::mem::take(&mut self.team_caches);
         for (_, classes) in caches {
             for (len, ring) in classes {
-                for block in ring {
+                for start in ring {
                     self.cached_bytes -= len;
-                    self.release_to_free_list(block.start, len);
+                    self.release_to_free_list(start, len);
                 }
             }
         }
@@ -473,34 +453,11 @@ impl DeviceMemory {
             return;
         };
         for (len, ring) in classes {
-            for block in ring {
+            for start in ring {
                 self.cached_bytes -= len;
-                self.release_to_free_list(block.start, len);
+                self.release_to_free_list(start, len);
             }
         }
-    }
-
-    /// Generational pruning: release every parked block freed more than
-    /// `max_age` allocator generations ago. Returns how many blocks were
-    /// returned to the global list.
-    pub fn prune_stale(&mut self, max_age: u64) -> usize {
-        let mut released = Vec::new();
-        for classes in self.team_caches.values_mut() {
-            for (&len, ring) in classes.iter_mut() {
-                while let Some(block) = ring.front() {
-                    if self.generation.saturating_sub(block.freed_gen) <= max_age {
-                        break;
-                    }
-                    let block = ring.pop_front().expect("front exists");
-                    released.push((block.start, len));
-                }
-            }
-        }
-        for &(start, len) in &released {
-            self.cached_bytes -= len;
-            self.release_to_free_list(start, len);
-        }
-        released.len()
     }
 
     fn oom(&mut self, requested: u64) -> AllocError {
@@ -576,7 +533,6 @@ impl DeviceMemory {
         *tag_live += alen;
         let peak = self.tag_peaks.entry(tag).or_insert(0);
         *peak = (*peak).max(*tag_live);
-        self.generation += 1;
         Ok(DevicePtr(start))
     }
 
@@ -614,7 +570,6 @@ impl DeviceMemory {
         if let Some(tag_live) = self.tag_bytes.get_mut(&tag) {
             *tag_live = tag_live.saturating_sub(len);
         }
-        self.generation += 1;
         if self.free_lists_enabled {
             self.cache_block(tag, start, len);
         } else {
@@ -790,7 +745,7 @@ impl DeviceMemory {
             .chain(self.free_list.iter().copied())
             .chain(self.team_caches.values().flat_map(|c| {
                 c.iter()
-                    .flat_map(|(&len, ring)| ring.iter().map(move |b| (b.start, len)))
+                    .flat_map(|(&len, ring)| ring.iter().map(move |&start| (start, len)))
             }))
             .collect();
         spans.sort_unstable();
@@ -1363,26 +1318,6 @@ mod tests {
         assert_eq!(mem.free_by_tag(5), 1); // only `b` was still live
         assert_eq!(mem.cached_bytes(), 0, "teardown keeps nothing parked");
         assert_eq!(mem.free_bytes(), 1 << 20);
-        mem.debug_validate().unwrap();
-    }
-
-    #[test]
-    fn prune_stale_releases_old_blocks() {
-        let mut mem = DeviceMemory::new(1 << 20);
-        mem.set_free_lists(true);
-        let a = mem.alloc_tagged(256, Backing::Materialized, 1).unwrap();
-        mem.free(a).unwrap();
-        // Age the heap: other-team churn advances the generation.
-        for _ in 0..10 {
-            let p = mem.alloc_tagged(1024, Backing::Materialized, 2).unwrap();
-            mem.free(p).unwrap();
-        }
-        // Young blocks survive a generous age bound...
-        assert_eq!(mem.prune_stale(1_000), 0);
-        // ...but a strict bound releases the stale tag-1 block (and any
-        // tag-2 blocks older than 2 generations).
-        let released = mem.prune_stale(2);
-        assert!(released >= 1);
         mem.debug_validate().unwrap();
     }
 

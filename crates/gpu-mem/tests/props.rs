@@ -222,7 +222,6 @@ enum Op {
     Free { idx: usize },
     FreeByTag { tag: u32 },
     SetFreeLists { enabled: bool },
-    PruneStale,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -238,7 +237,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         any::<usize>().prop_map(|idx| Op::Free { idx }),
         (0u32..5).prop_map(|tag| Op::FreeByTag { tag }),
         any::<bool>().prop_map(|enabled| Op::SetFreeLists { enabled }),
-        Just(Op::PruneStale),
     ]
 }
 
@@ -306,14 +304,12 @@ fn probe_accesses(mem: &mut DeviceMemory, live: &[Live], freed: &[u64]) {
 }
 
 /// Run a script against a fresh heap, validating after every op and
-/// checking the generation counter never moves backwards, and probing
-/// loads and stores against the script's model of live regions. Returns
+/// probing loads and stores against the script's model of live regions. Returns
 /// the heap with all remaining live pointers freed (and validated).
 fn run_script(ops: &[Op], free_lists_at_start: bool) -> DeviceMemory {
     let mut mem = DeviceMemory::new(CAPACITY);
     mem.set_free_lists(free_lists_at_start);
     let mut live: Vec<Live> = Vec::new();
-    let mut last_generation = mem.generation();
     for op in ops {
         let mut freed = Vec::new();
         match op {
@@ -344,18 +340,9 @@ fn run_script(ops: &[Op], free_lists_at_start: bool) -> DeviceMemory {
                 assert_eq!(n, freed.len(), "free_by_tag frees the tag's regions");
             }
             Op::SetFreeLists { enabled } => mem.set_free_lists(*enabled),
-            Op::PruneStale => {
-                mem.prune_stale(4);
-            }
         }
         mem.debug_validate().expect("heap invariants hold after op");
         probe_accesses(&mut mem, &live, &freed);
-        let generation = mem.generation();
-        assert!(
-            generation >= last_generation,
-            "generation went backwards: {last_generation} -> {generation}"
-        );
-        last_generation = generation;
     }
     for r in live {
         mem.free(r.ptr).expect("teardown free succeeds");
@@ -422,9 +409,6 @@ proptest! {
                     live.retain(|p| mem.region_of(p.0).is_some());
                 }
                 Op::SetFreeLists { enabled } => mem.set_free_lists(*enabled),
-                Op::PruneStale => {
-                    mem.prune_stale(4);
-                }
             }
             prop_assert_eq!(mem.stats().bytes_in_use + mem.free_bytes(), CAPACITY);
         }

@@ -74,7 +74,8 @@ pub enum InjectedTeamFault {
 /// `team_fn` is invoked once per team; `teams_per_block` > 1 realizes the
 /// paper's §3.1 packed `(N/M, M, 1)` mapping where several instances share
 /// one thread block. `lanes_per_team` is the thread limit each team may
-/// use; `tag_of_team` supplies the heap-region tag (the instance id).
+/// use. Each team's heap regions carry its team id as their tag (the
+/// instance id under ensembles).
 pub struct KernelSpec<'a> {
     pub name: &'a str,
     /// Number of teams to run.
@@ -83,8 +84,6 @@ pub struct KernelSpec<'a> {
     pub teams_per_block: u32,
     /// Usable threads per team.
     pub lanes_per_team: u32,
-    /// Heap-region tag for each team (defaults to the team id).
-    pub tag_of_team: Option<&'a dyn Fn(u32) -> u32>,
     /// Paper-scale footprint divided by materialized footprint (≥ 1).
     pub footprint_multiplier: f64,
     /// Host-RPC services with stubs; `None` = unrestricted.
@@ -126,7 +125,6 @@ impl<'a> KernelSpec<'a> {
             num_teams,
             teams_per_block: 1,
             lanes_per_team,
-            tag_of_team: None,
             footprint_multiplier: 1.0,
             rpc_services: None,
             keep_traces: false,
@@ -204,7 +202,7 @@ impl Gpu {
     /// through the timing engine.
     ///
     /// `host_hook` (if any) is shared by all teams, mirroring the single
-    /// RPC service thread of the direct-GPU-compilation framework.
+    /// host RPC endpoint of the direct-GPU-compilation framework.
     pub fn launch(
         &mut self,
         spec: &KernelSpec<'_>,
@@ -233,13 +231,12 @@ impl Gpu {
                 Some(InjectedTeamFault::DeviceOom { .. }) => self.mem.free_bytes(),
                 _ => 0,
             };
-            let tag = spec.tag_of_team.map(|f| f(team)).unwrap_or(team);
             let mut ctx = TeamCtx::with_lanes(
                 &mut self.mem,
                 team,
                 spec.num_teams,
                 spec.lanes_per_team,
-                tag,
+                team,
                 self.spec.shared_mem_per_block,
                 std::mem::take(&mut lanes),
             );

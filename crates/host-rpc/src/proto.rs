@@ -1,4 +1,4 @@
-//! Wire protocol between device stubs and the host service thread.
+//! Wire protocol between device stubs and the host.
 //!
 //! The encoding is a simple tagged binary format (little-endian lengths,
 //! UTF-8 strings) so that the device side can ship opaque byte payloads

@@ -11,7 +11,8 @@
 //! * [`ir`] — the module IR of the direct-GPU-compilation pipeline;
 //! * [`compiler`] — the pass pipeline (declare-target marking, `main`
 //!   renaming, RPC stub generation, globals-to-shared, DCE);
-//! * [`rpc`] — the host RPC framework (service thread, stdio/fs/clock);
+//! * [`rpc`] — the host RPC framework (wire codec, host endpoint,
+//!   stdio/fs/clock);
 //! * [`libc`] — the partial device libc (malloc, printf, strings, qsort);
 //! * [`core`] — **the paper's contribution**: the offload runtime with the
 //!   plain loader \[26\] and the ensemble loader (`-f/-n/-t`, instance →
