@@ -49,6 +49,20 @@ cargo run -q --release -p ensemble-cli -- xsbench -f "$PROF_TMP/args.txt" \
     --metrics-out "$PROF_TMP/metrics.jsonl" > /dev/null
 cargo run -q --release -p dgc-prof --bin trace-check -- "$PROF_TMP/trace.json"
 
+echo "== kernel_report: the plain loader's whole output vs golden =="
+# The four apps at their figure6 --smoke lines through the plain loader:
+# report, stall buckets, roofline, per-phase table and stdout, byte for
+# byte. The trace oracle pins the loader's phases and cycles; this pins
+# everything else it hands back.
+: > "$PROF_TMP/kernel_report_smoke.json"
+for line in "xsbench -l 60 -g 16" "rsbench -l 60 -w 8 -p 2" "amgmk -n 6 -s 4" \
+    "pagerank -v 500 -d 6 -i 3"; do
+    # shellcheck disable=SC2086 # the line is split into the app and its arguments
+    cargo run -q --release -p dgc-bench --bin kernel_report -- --json $line \
+        >> "$PROF_TMP/kernel_report_smoke.json"
+done
+cmp results/kernel_report_smoke.json "$PROF_TMP/kernel_report_smoke.json"
+
 echo "== fault: injected OOM recovery vs golden snapshot =="
 # Page-Rank-shaped memory wall: the checked-in plan forces device OOM at
 # concurrency >= 5, so the resilient driver must split 8 -> 4 and recover

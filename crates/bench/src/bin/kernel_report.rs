@@ -29,13 +29,8 @@ fn main() {
     };
     let argv: Vec<&str> = args.iter().map(String::as_str).collect();
 
-    let loader = Loader {
-        keep_traces: true,
-        collect_stalls: true,
-        ..Default::default()
-    };
     let mut gpu = Gpu::a100();
-    let res = loader
+    let res = Loader::default()
         .run(&mut gpu, &app, &argv, host_rpc::HostServices::default())
         .unwrap_or_else(|e| {
             eprintln!("error: {e}");
@@ -43,11 +38,8 @@ fn main() {
         });
 
     let roofline = RooflinePoint::from_report(&gpu.spec, &res.report);
-    let stalls = res.stalls.as_ref().expect("collect_stalls was set");
-    let traces = res.block_traces.as_ref().expect("keep_traces was set");
-
     if json {
-        print_json(&res, &roofline, traces);
+        print_json(&res, &roofline);
         return;
     }
 
@@ -57,7 +49,7 @@ fn main() {
         "{:<20} {:>12} {:>14} {:>10} {:>8} {:>6}",
         "phase", "warp insts", "moved bytes", "sectors", "coal %", "RPCs"
     );
-    for team in traces.iter().flat_map(|b| &b.teams) {
+    for team in res.block_traces.iter().flat_map(|b| &b.teams) {
         for phase in &team.phases {
             let mut total = MixedSeg::default();
             for w in &phase.warps {
@@ -75,6 +67,7 @@ fn main() {
         }
     }
     println!();
+    let stalls = &res.stalls;
     println!(
         "stall-cycle attribution (kernel, {:.0} cycles):",
         stalls.kernel.total()
@@ -94,14 +87,10 @@ fn main() {
     print!("{}", res.stdout);
 }
 
-fn print_json(
-    res: &dgc_core::AppRunResult,
-    roofline: &RooflinePoint,
-    traces: &[gpu_sim::BlockTrace],
-) {
-    let stalls = res.stalls.as_ref().expect("collect_stalls was set");
+fn print_json(res: &dgc_core::AppRunResult, roofline: &RooflinePoint) {
+    let stalls = &res.stalls;
     let mut phases: Vec<Value> = Vec::new();
-    for team in traces.iter().flat_map(|b| &b.teams) {
+    for team in res.block_traces.iter().flat_map(|b| &b.teams) {
         for phase in &team.phases {
             let mut total = MixedSeg::default();
             for w in &phase.warps {

@@ -1,5 +1,3 @@
-use dgc_compiler::CompiledImage;
-use dgc_ir::GlobalPlacement;
 use gpu_mem::DevicePtr;
 use gpu_sim::{KernelError, SharedBuf, TeamCtx};
 use std::collections::BTreeMap;
@@ -74,33 +72,6 @@ impl HostApp {
             footprint_scale: None,
         }
     }
-}
-
-/// Allocate this team's view of the module globals, following the compiled
-/// image's placements. Device/constant globals are allocated once by the
-/// loader and passed in via `device_globals`; shared ones are allocated
-/// here, per team.
-pub fn build_globals(
-    team: &mut TeamCtx<'_>,
-    image: &CompiledImage,
-    device_globals: &BTreeMap<String, DevicePtr>,
-) -> Result<BTreeMap<String, GlobalSlot>, KernelError> {
-    let mut slots = BTreeMap::new();
-    for g in &image.module.globals {
-        let slot = match g.placement {
-            GlobalPlacement::DeviceGlobal | GlobalPlacement::Constant => {
-                let ptr = device_globals.get(&g.name).copied().ok_or_else(|| {
-                    KernelError::App(format!("loader did not allocate global @{}", g.name))
-                })?;
-                GlobalSlot::Device(ptr)
-            }
-            GlobalPlacement::TeamShared => {
-                GlobalSlot::Shared(team.shared_alloc::<u8>(g.size as usize)?)
-            }
-        };
-        slots.insert(g.name.clone(), slot);
-    }
-    Ok(slots)
 }
 
 #[cfg(test)]

@@ -1,14 +1,14 @@
-use crate::app::{build_globals, AppContext, HostApp};
+use crate::app::HostApp;
 use crate::argfile::ArgFileError;
-use crate::loader::{alloc_device_globals, inject_main_wrapper, GLOBALS_TAG};
-use dgc_compiler::{compile, CompileError, CompilerOptions};
-use dgc_ir::{Module, ParseError};
+use crate::stage::{compile_app, exit_status, Stage, GLOBALS_TAG};
+use dgc_compiler::{CompileError, CompilerOptions};
+use dgc_ir::ParseError;
 use dgc_obs::{
     record_schedule, CriticalHop, InstanceMetrics, LatencyPercentiles, LaunchMetrics, LaunchNode,
     LaunchTimeline, Recorder, RpcCallCounts, SpanGraph, METRICS_SCHEMA_VERSION, PID_HOST,
 };
-use gpu_mem::{AllocError, TransferDirection};
-use gpu_sim::{Gpu, InjectedTeamFault, KernelError, KernelSpec, SimError, SimReport, TeamOutcome};
+use gpu_mem::AllocError;
+use gpu_sim::{Gpu, InjectedTeamFault, KernelError, SimError, SimReport};
 use host_rpc::{HostServices, RpcFaultHook, RpcHost, RpcObserver, RpcStats};
 use serde::Value;
 
@@ -371,31 +371,12 @@ pub fn run_ensemble_injected(
         obs.name_thread(PID_HOST, 0, "timeline");
     }
 
-    // Compile once; all instances share the device image.
-    let module = Module::parse(&app.module_text).map_err(EnsembleError::ModuleParse)?;
-    let mut image = compile(module, &opts.compiler).map_err(EnsembleError::Compile)?;
-    inject_main_wrapper(&mut image.module);
-
-    // Per-instance argv: argv[0] + the instance's argument line.
-    let argvs: Vec<Vec<String>> = (0..n)
-        .map(|i| {
-            let line = &arg_lines[i as usize % arg_lines.len()];
-            std::iter::once(app.name.to_string())
-                .chain(line.iter().cloned())
-                .collect()
-        })
-        .collect();
-
-    // Map all instances' arguments to the device (StringCache of Fig. 4).
-    let argv_bytes: u64 = argvs
-        .iter()
-        .flat_map(|a| a.iter())
-        .map(|s| s.len() as u64 + 1)
-        .sum();
-    let h2d_s = gpu
-        .transfers
-        .record(TransferDirection::HostToDevice, argv_bytes);
-    let mut transfer_seconds = h2d_s;
+    // Compile once; all instances share the device image. Instance `i`
+    // gets argument line `i` (modulo the file when cycling is allowed).
+    let image = compile_app(app, &opts.compiler)?;
+    let lines = (0..n as usize).map(|i| arg_lines[i % arg_lines.len()].as_slice());
+    let mut stage = Stage::map_argv(gpu, app, image, lines);
+    let h2d_s = stage.h2d_s;
     if traced {
         obs.span_args(
             PID_HOST,
@@ -404,11 +385,11 @@ pub fn run_ensemble_injected(
             "loader",
             0.0,
             h2d_s * 1e6,
-            vec![("bytes".into(), Value::U64(argv_bytes))],
+            vec![("bytes".into(), Value::U64(stage.argv_bytes))],
         );
     }
 
-    let device_globals = alloc_device_globals(gpu, &image).map_err(EnsembleError::Globals)?;
+    stage.alloc_globals(gpu)?;
     if traced {
         obs.instant(PID_HOST, 0, "alloc globals", "loader", h2d_s * 1e6);
     }
@@ -426,11 +407,6 @@ pub fn run_ensemble_injected(
             (per_block, opts.thread_limit / per_block)
         }
     };
-
-    let footprint = argvs
-        .iter()
-        .map(|a| app.footprint_scale.map(|f| f(a)).unwrap_or(1.0))
-        .fold(1.0f64, f64::max);
 
     // Live monitoring (pure observation): when a [`MonitorSink`] hangs
     // off the recorder, the launch streams team completions and RPC
@@ -450,18 +426,10 @@ pub fn run_ensemble_injected(
 
     let mut host = RpcHost::new(services, faults.rpc_fault, rpc_observer);
     let kernel_name = format!("{}-x{}", app.name, n);
-    let mut spec = KernelSpec::new(&kernel_name, n, lanes_per_team);
+    let mut spec = stage.kernel(&kernel_name, n, lanes_per_team);
     spec.teams_per_block = teams_per_block;
-    spec.rpc_services = Some(image.rpc_services.iter().copied().collect());
-    spec.footprint_multiplier = footprint;
     spec.fault_of_team = faults.team_fault;
     spec.cycle_budget = faults.cycle_budget;
-    // Schedule detail and stall attribution are pure bookkeeping (they
-    // never perturb timing), so the ensemble path always collects both:
-    // detail feeds the span graph's critical chain, stalls feed the
-    // metrics rollup. Traces stay gated by the recorder.
-    spec.collect_detail = true;
-    spec.collect_stalls = true;
     spec.sample_interval = opts.sample_interval;
     spec.on_team_done = team_hook.as_ref().map(|h| h as &dyn Fn(u32, u32));
 
@@ -472,23 +440,12 @@ pub fn run_ensemble_injected(
     // snapshot so the rollup reports this launch's count alone.
     let fallbacks_before = gpu.mem.stats().alloc_fallbacks;
 
-    let main_fn = app.main;
-    let image_ref = &image;
-    let dg_ref = &device_globals;
-    let argvs_ref = &argvs;
-    let mut hook =
-        |_service: u32, payload: &[u8]| host.call_raw(payload).map_err(|e| e.to_string());
-    let launch = gpu.launch(&spec, Some(&mut hook), move |team| {
-        let i = team.team_id();
-        let globals = build_globals(team, image_ref, dg_ref)?;
-        let cx = AppContext {
-            argv: argvs_ref[i as usize].clone(),
-            globals,
-            instance: i,
-            num_instances: n,
-        };
-        main_fn(team, &cx)
-    });
+    let mut launch = stage.launch(gpu, &spec, &mut host);
+    // The rollup reads the team summaries, never the traces: free them
+    // as soon as the launch returns.
+    if let Ok(l) = &mut launch {
+        l.block_traces = Vec::new();
+    }
 
     // Heap occupancy while the kernel ran, read before instance teardown
     // frees the tags — the timeline's heap counter and the schema-v6
@@ -500,37 +457,26 @@ pub fn run_ensemble_injected(
         alloc_fallbacks: gpu.mem.stats().alloc_fallbacks - fallbacks_before,
     };
 
-    // Instance teardown: free every instance heap and the module globals.
-    for i in 0..n {
-        gpu.mem.free_by_tag(i);
-    }
-    gpu.mem.free_by_tag(GLOBALS_TAG);
-    let services = host.into_services();
+    let services = stage.teardown(gpu, host);
     let launch = launch.map_err(EnsembleError::Launch)?;
-
-    // map(from: Ret[:NI]).
-    let d2h_s = gpu
-        .transfers
-        .record(TransferDirection::DeviceToHost, 4 * n as u64);
-    transfer_seconds += d2h_s;
+    let d2h_s = stage.copy_back(gpu);
+    let transfer_seconds = h2d_s + d2h_s;
 
     let instances: Vec<InstanceOutcome> = launch
         .team_outcomes
         .iter()
         .enumerate()
-        .map(|(i, o)| match o {
-            TeamOutcome::Return(c) => InstanceOutcome {
-                exit_code: Some(services.exit_code_of(i as u32).unwrap_or(*c)),
-                error: None,
-                oom: false,
-                timed_out: false,
-            },
-            TeamOutcome::Trap(e) => InstanceOutcome {
-                exit_code: services.exit_code_of(i as u32),
-                error: Some(e.to_string()),
-                oom: matches!(e, KernelError::Alloc(AllocError::OutOfMemory { .. })),
-                timed_out: matches!(e, KernelError::Timeout { .. }),
-            },
+        .map(|(i, o)| {
+            let (exit_code, trap) = exit_status(&services, i as u32, o);
+            InstanceOutcome {
+                exit_code,
+                error: trap.map(|e| e.to_string()),
+                oom: matches!(
+                    trap,
+                    Some(KernelError::Alloc(AllocError::OutOfMemory { .. }))
+                ),
+                timed_out: matches!(trap, Some(KernelError::Timeout { .. })),
+            }
         })
         .collect();
     let stdout = (0..n).map(|i| services.stdout_of(i).to_string()).collect();
@@ -568,11 +514,7 @@ pub fn run_ensemble_injected(
                 heap_peak_bytes: gpu.mem.tag_peak_bytes(i),
                 rpc: RpcCallCounts::from(services.stats_of(i)),
                 rpc_stall_s: summary.rpc_calls as f64 * gpu.timing.rpc_cycles_per_call * cycle_s,
-                stall: launch
-                    .stalls
-                    .as_ref()
-                    .map(|s| s.blocks[block])
-                    .unwrap_or_default(),
+                stall: launch.stalls.blocks[block],
             }
         })
         .collect();
@@ -618,9 +560,7 @@ pub fn run_ensemble_injected(
                 ("waves".into(), Value::U64(launch.report.waves as u64)),
             ],
         );
-        if let Some(sched) = &launch.schedule {
-            record_schedule(obs, sched, upc_us, device_offset_us);
-        }
+        record_schedule(obs, &launch.schedule, upc_us, device_offset_us);
         timeline.emit_counters(obs);
         obs.span(
             PID_HOST,
@@ -688,21 +628,12 @@ pub fn run_ensemble_injected(
         waves: launch.report.waves,
         teams_per_block,
         instances: (0..n).collect(),
-        block_stalls: launch
-            .stalls
-            .as_ref()
-            .map(|s| s.blocks.clone())
-            .unwrap_or_default(),
-        wave_spans: launch
-            .schedule
-            .as_ref()
-            .map(|s| s.wave_spans())
-            .unwrap_or_default(),
-        chain: launch
-            .schedule
-            .as_ref()
-            .map(CriticalHop::chain_from_schedule)
-            .unwrap_or_default(),
+        // A copy, not a move: the graph outlives the launch, and keeping
+        // the launch's own buffer alive in it raised the peak RSS of long
+        // multi-launch runs.
+        block_stalls: launch.stalls.blocks.clone(),
+        wave_spans: launch.schedule.wave_spans(),
+        chain: CriticalHop::chain_from_schedule(&launch.schedule),
     });
 
     Ok(EnsembleResult {
@@ -1049,6 +980,7 @@ pub fn parse_ensemble_cli(args: &[String]) -> Result<EnsembleCliArgs, CliError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::AppContext;
     use crate::argfile::parse_arg_file;
     use device_libc::dl_printf;
     use gpu_sim::TeamCtx;

@@ -16,6 +16,11 @@
 //!   packing the paper describes but leaves unimplemented; implemented here
 //!   as an extension.
 //!
+//! The plain loader, the ensemble loader and [`run_multi_team`] (the
+//! \[27\] baseline) stage an application through the same steps, for one
+//! instance or `N`: compile with the main wrapper, map argv, allocate the
+//! module globals, serve host calls, tear down and copy results back.
+//!
 //! The loaders drive the full substrate: the module IR is compiled by
 //! `dgc-compiler` (declare-target marking, `main` renaming, RPC stub
 //! generation, globals placement), the resulting image decides which RPC
@@ -32,6 +37,7 @@ mod argscript;
 mod ensemble;
 mod loader;
 mod multiteam;
+mod stage;
 mod stats;
 
 pub use app::{AppContext, AppMainFn, GlobalSlot, HostApp};
@@ -43,7 +49,7 @@ pub use ensemble::{
     HeapUsage, InstanceOutcome, LaunchFaults, MappingStrategy, DEFAULT_MONITOR_INTERVAL_MS,
     DEFAULT_SAMPLE_INTERVAL,
 };
-pub use loader::{AppRunResult, Loader, LoaderError};
+pub use loader::{AppRunResult, Loader};
 pub use multiteam::{run_multi_team, MultiTeamError, MultiTeamResult};
 pub use stats::{
     relative_speedup, utilization_mean, utilization_p95, SpeedupPoint, SpeedupSeries, StatsError,

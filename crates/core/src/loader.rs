@@ -1,40 +1,9 @@
-use crate::app::{build_globals, AppContext, HostApp};
-use dgc_compiler::{compile, CompileError, CompiledImage, CompilerOptions};
-use dgc_ir::{Attr, Function, Module, ParseError};
-use gpu_mem::{AllocError, Backing, DevicePtr, TransferDirection};
-use gpu_sim::{Gpu, KernelSpec, SimError, TeamOutcome};
+use crate::app::HostApp;
+use crate::ensemble::EnsembleError;
+use crate::stage::{self, exit_status, Stage};
+use dgc_compiler::{CompiledImage, CompilerOptions};
+use gpu_sim::Gpu;
 use host_rpc::{HostServices, RpcHost, RpcStats};
-use std::collections::BTreeMap;
-
-/// Heap-region tag used for module globals (shared by all instances, so it
-/// must not collide with instance ids).
-pub(crate) const GLOBALS_TAG: u32 = u32::MAX;
-
-/// Loader failures.
-#[derive(Debug)]
-pub enum LoaderError {
-    /// The application's module text did not parse.
-    ModuleParse(ParseError),
-    /// The compiler pipeline rejected the module.
-    Compile(CompileError),
-    /// Kernel launch failed (bad configuration).
-    Launch(SimError),
-    /// Device allocation for module globals failed.
-    Globals(AllocError),
-}
-
-impl std::fmt::Display for LoaderError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LoaderError::ModuleParse(e) => write!(f, "module parse error: {e}"),
-            LoaderError::Compile(e) => write!(f, "compilation failed: {e}"),
-            LoaderError::Launch(e) => write!(f, "{e}"),
-            LoaderError::Globals(e) => write!(f, "global allocation failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for LoaderError {}
 
 /// Result of running one application instance through the plain loader.
 #[derive(Debug)]
@@ -50,25 +19,20 @@ pub struct AppRunResult {
     /// Host↔device transfer time (argv mapping, result copy-back).
     pub transfer_seconds: f64,
     pub rpc_stats: RpcStats,
-    /// Segment traces when [`Loader::keep_traces`] was set.
-    pub block_traces: Option<Vec<gpu_sim::BlockTrace>>,
-    /// Stall-cycle attribution when [`Loader::collect_stalls`] was set.
-    pub stalls: Option<gpu_sim::StallAttribution>,
+    /// The kernel's segment traces, for per-phase profiling.
+    pub block_traces: Vec<gpu_sim::BlockTrace>,
+    /// Stall-cycle attribution of every simulated cycle.
+    pub stalls: gpu_sim::StallAttribution,
 }
 
 /// The original direct-GPU-compilation loader \[26\]: compiles the whole
-/// application as device code and runs it as a **single team**.
+/// application as device code and runs it as a **single team** — the
+/// ensemble loader's staging with one instance.
 pub struct Loader {
     pub compiler: CompilerOptions,
     /// Threads the single team may use (the `-t` of the enhanced loader,
     /// defaulted to the hardware block maximum as in \[26\]).
     pub thread_limit: u32,
-    /// Keep the kernel's segment traces in the result for per-phase
-    /// profiling.
-    pub keep_traces: bool,
-    /// Attribute every simulated cycle to a stall bucket
-    /// ([`AppRunResult::stalls`]); pure bookkeeping, never changes timing.
-    pub collect_stalls: bool,
 }
 
 impl Default for Loader {
@@ -76,8 +40,6 @@ impl Default for Loader {
         Self {
             compiler: CompilerOptions::default(),
             thread_limit: 1024,
-            keep_traces: false,
-            collect_stalls: false,
         }
     }
 }
@@ -86,80 +48,34 @@ impl Loader {
     /// Parse and compile the application's module, then splice in the main
     /// wrapper (the new host entry point) exactly as the framework links
     /// it: `main` (wrapper) → maps args → calls `__user_main`.
-    pub fn compile_app(&self, app: &HostApp) -> Result<CompiledImage, LoaderError> {
-        let module = Module::parse(&app.module_text).map_err(LoaderError::ModuleParse)?;
-        let mut image = compile(module, &self.compiler).map_err(LoaderError::Compile)?;
-        inject_main_wrapper(&mut image.module);
-        Ok(image)
+    pub fn compile_app(&self, app: &HostApp) -> Result<CompiledImage, EnsembleError> {
+        stage::compile_app(app, &self.compiler)
     }
 
     /// Run `app` once on `gpu` with the given arguments (excluding
-    /// `argv[0]`, which the loader provides).
+    /// `argv[0]`, which the loader provides). The kernel is named after
+    /// the app.
     pub fn run(
         &self,
         gpu: &mut Gpu,
         app: &HostApp,
         args: &[&str],
         services: HostServices,
-    ) -> Result<AppRunResult, LoaderError> {
+    ) -> Result<AppRunResult, EnsembleError> {
         let image = self.compile_app(app)?;
-        let argv: Vec<String> = std::iter::once(app.name.to_string())
-            .chain(args.iter().map(|s| s.to_string()))
-            .collect();
-
-        // Map program arguments to the device (main-wrapper behaviour).
-        let argv_bytes: u64 = argv.iter().map(|a| a.len() as u64 + 1).sum();
-        let mut transfer_seconds = gpu
-            .transfers
-            .record(TransferDirection::HostToDevice, argv_bytes);
-
-        let device_globals = alloc_device_globals(gpu, &image).map_err(LoaderError::Globals)?;
-
+        let line: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let mut stage = Stage::map_argv(gpu, app, image, [line.as_slice()]);
+        stage.alloc_globals(gpu)?;
         let mut host = RpcHost::new(services, None, None);
-        let footprint = app
-            .footprint_scale
-            .map(|f| f(&argv))
-            .unwrap_or(1.0)
-            .max(1.0);
-
-        let mut spec = KernelSpec::new(app.name, 1, self.thread_limit);
-        spec.rpc_services = Some(image.rpc_services.iter().copied().collect());
-        spec.footprint_multiplier = footprint;
-        spec.keep_traces = self.keep_traces;
-        spec.collect_stalls = self.collect_stalls;
-        let main_fn = app.main;
-        let argv_ref = &argv;
-        let image_ref = &image;
-        let dg_ref = &device_globals;
-        let mut hook =
-            |_service: u32, payload: &[u8]| host.call_raw(payload).map_err(|e| e.to_string());
-        let launch = gpu.launch(&spec, Some(&mut hook), move |team| {
-            let globals = build_globals(team, image_ref, dg_ref)?;
-            let cx = AppContext {
-                argv: argv_ref.clone(),
-                globals,
-                instance: team.team_id(),
-                num_instances: 1,
-            };
-            main_fn(team, &cx)
-        });
-
-        // Tear down device state regardless of launch outcome.
-        gpu.mem.free_by_tag(0);
-        gpu.mem.free_by_tag(GLOBALS_TAG);
-        let services = host.into_services();
-        let launch = launch.map_err(LoaderError::Launch)?;
-
-        // map(from: Ret) — copy the return code back.
-        transfer_seconds += gpu.transfers.record(TransferDirection::DeviceToHost, 4);
-
-        let (exit_code, trap) = match &launch.team_outcomes[0] {
-            TeamOutcome::Return(c) => (Some(services.exit_code_of(0).unwrap_or(*c)), None),
-            TeamOutcome::Trap(e) => (services.exit_code_of(0), Some(e.to_string())),
-        };
+        let spec = stage.kernel(app.name, 1, self.thread_limit);
+        let launch = stage.launch(gpu, &spec, &mut host);
+        let services = stage.teardown(gpu, host);
+        let launch = launch.map_err(EnsembleError::Launch)?;
+        let transfer_seconds = stage.h2d_s + stage.copy_back(gpu);
+        let (exit_code, trap) = exit_status(&services, 0, &launch.team_outcomes[0]);
         Ok(AppRunResult {
             exit_code,
-            trap,
+            trap: trap.map(|e| e.to_string()),
             stdout: services.stdout_of(0).to_string(),
             stderr: services.stderr_of(0).to_string(),
             report: launch.report,
@@ -171,42 +87,12 @@ impl Loader {
     }
 }
 
-/// Insert the loader's main wrapper into a compiled module: the new host
-/// entry point that maps arguments and invokes `__user_main` (paper §2.2).
-pub(crate) fn inject_main_wrapper(module: &mut Module) {
-    if module.function("main").is_some() {
-        return;
-    }
-    module.add_function(
-        Function::defined("main", 2)
-            .with_callees(&["__user_main"])
-            .with_attr(Attr::MainWrapper),
-    );
-}
-
-/// Allocate device-global/constant module globals once per launch, tagged
-/// [`GLOBALS_TAG`].
-pub(crate) fn alloc_device_globals(
-    gpu: &mut Gpu,
-    image: &CompiledImage,
-) -> Result<BTreeMap<String, DevicePtr>, AllocError> {
-    let mut out = BTreeMap::new();
-    for g in &image.module.globals {
-        if g.placement == dgc_ir::GlobalPlacement::TeamShared {
-            continue;
-        }
-        let ptr = gpu
-            .mem
-            .alloc_tagged(g.size, Backing::Materialized, GLOBALS_TAG)?;
-        out.insert(g.name.clone(), ptr);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::AppContext;
     use device_libc::dl_printf;
+    use dgc_ir::Attr;
     use gpu_sim::TeamCtx;
 
     const MODULE: &str = r#"
@@ -254,26 +140,16 @@ module "hello" {
     }
 
     #[test]
-    fn loader_collects_stall_attribution_on_request() {
-        let mut gpu = Gpu::a100();
-        let loader = Loader {
-            collect_stalls: true,
-            ..Default::default()
-        };
-        let res = loader
-            .run(&mut gpu, &app(), &["-x"], HostServices::default())
-            .unwrap();
-        let st = res.stalls.as_ref().unwrap();
-        assert_eq!(st.kernel.total(), res.report.kernel_cycles);
-        assert_eq!(st.blocks.len(), 1);
-        // The hello app spends a printf round trip: RPC stall shows up.
-        assert!(st.kernel.rpc > 0.0, "{:?}", st.kernel);
-        // Off by default.
+    fn loader_attributes_stall_cycles() {
         let mut gpu = Gpu::a100();
         let res = Loader::default()
             .run(&mut gpu, &app(), &["-x"], HostServices::default())
             .unwrap();
-        assert!(res.stalls.is_none());
+        let st = &res.stalls;
+        assert_eq!(st.kernel.total(), res.report.kernel_cycles);
+        assert_eq!(st.blocks.len(), 1);
+        // The hello app spends a printf round trip: RPC stall shows up.
+        assert!(st.kernel.rpc > 0.0, "{:?}", st.kernel);
     }
 
     #[test]
@@ -293,7 +169,7 @@ module "hello" {
         let mut gpu = Gpu::a100();
         assert!(matches!(
             Loader::default().run(&mut gpu, &a, &[], HostServices::default()),
-            Err(LoaderError::ModuleParse(_))
+            Err(EnsembleError::ModuleParse(_))
         ));
     }
 

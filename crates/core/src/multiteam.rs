@@ -22,21 +22,20 @@
 //! cannot be expanded (and ensemble execution is the remaining option —
 //! the motivation of §3).
 
-use crate::app::{build_globals, AppContext, HostApp};
-use crate::loader::{alloc_device_globals, inject_main_wrapper, GLOBALS_TAG};
-use dgc_compiler::{compile, CompilerOptions};
-use dgc_ir::Module;
-use gpu_mem::TransferDirection;
-use gpu_sim::{simulate_timing, BlockTrace, MixedSeg, Phase, TeamCtx, TeamTrace, TimingInputs};
+use crate::app::HostApp;
+use crate::ensemble::EnsembleError;
+use crate::stage::{compile_app, exit_status, host_call, Stage};
+use dgc_compiler::CompilerOptions;
+use gpu_sim::{
+    simulate_timing, BlockTrace, MixedSeg, Phase, TeamCtx, TeamOutcome, TeamTrace, TimingInputs,
+};
 use host_rpc::{HostServices, RpcHost, RpcStats};
-
-use crate::loader::LoaderError;
 
 /// Why multi-team execution was refused.
 #[derive(Debug)]
 pub enum MultiTeamError {
     /// Loader-level failure (parse, compile, allocation).
-    Loader(LoaderError),
+    Loader(EnsembleError),
     /// The expansion analysis found order-dependent parallel regions, so
     /// OpenMP semantics forbid multiple teams (the paper's §3 case).
     NotEligible {
@@ -63,8 +62,8 @@ impl std::fmt::Display for MultiTeamError {
 
 impl std::error::Error for MultiTeamError {}
 
-impl From<LoaderError> for MultiTeamError {
-    fn from(e: LoaderError) -> Self {
+impl From<EnsembleError> for MultiTeamError {
+    fn from(e: EnsembleError) -> Self {
         MultiTeamError::Loader(e)
     }
 }
@@ -96,61 +95,37 @@ pub fn run_multi_team(
     services: HostServices,
 ) -> Result<MultiTeamResult, MultiTeamError> {
     assert!(num_teams >= 1 && thread_limit >= 1);
-    let module = Module::parse(&app.module_text).map_err(LoaderError::ModuleParse)?;
-    let mut image = compile(module, &CompilerOptions::default()).map_err(LoaderError::Compile)?;
-    inject_main_wrapper(&mut image.module);
+    let image = compile_app(app, &CompilerOptions::default())?;
     if !image.expansion.multi_team_eligible {
         return Err(MultiTeamError::NotEligible {
             parallel_regions: image.expansion.parallel_regions,
             expandable: image.expansion.expandable_regions,
         });
     }
-
-    let argv: Vec<String> = std::iter::once(app.name.to_string())
-        .chain(args.iter().map(|s| s.to_string()))
-        .collect();
-    let argv_bytes: u64 = argv.iter().map(|a| a.len() as u64 + 1).sum();
-    let mut transfer_seconds = gpu
-        .transfers
-        .record(TransferDirection::HostToDevice, argv_bytes);
-    let device_globals = alloc_device_globals(gpu, &image).map_err(LoaderError::Globals)?;
+    let line: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+    let mut stage = Stage::map_argv(gpu, app, image, [line.as_slice()]);
+    stage.alloc_globals(gpu)?;
 
     // ---- Functional execution with the expanded lane count. ----
     let mut host = RpcHost::new(services, None, None);
     let lanes = num_teams * thread_limit;
-    let footprint = app
-        .footprint_scale
-        .map(|f| f(&argv))
-        .unwrap_or(1.0)
-        .max(1.0);
     let outcome;
     let trace: TeamTrace;
     {
-        let mut hook =
-            |_service: u32, payload: &[u8]| host.call_raw(payload).map_err(|e| e.to_string());
-        let mut ctx = TeamCtx::new(&mut gpu.mem, 0, 1, lanes, 0, gpu.spec.shared_mem_per_block);
-        ctx.set_host_call(
-            &mut hook,
-            Some(image.rpc_services.iter().copied().collect()),
-        );
-        outcome = (|| {
-            let globals = build_globals(&mut ctx, &image, &device_globals)?;
-            let cx = AppContext {
-                argv: argv.clone(),
-                globals,
-                instance: 0,
-                num_instances: 1,
-            };
-            (app.main)(&mut ctx, &cx)
-        })();
+        let mut hook = host_call(&mut host);
+        let mut ctx = TeamCtx::new(&mut gpu.mem, 0, 1, lanes, gpu.spec.shared_mem_per_block);
+        ctx.set_host_call(&mut hook, Some(stage.rpc_services()));
+        outcome = match stage.enter_main(&mut ctx) {
+            Ok(c) => TeamOutcome::Return(c),
+            Err(e) => TeamOutcome::Trap(e),
+        };
         trace = ctx.finish();
     }
-    gpu.mem.free_by_tag(0);
-    gpu.mem.free_by_tag(GLOBALS_TAG);
-    let services = host.into_services();
+    let services = stage.teardown(gpu, host);
 
     // ---- Phase-by-phase timing: one kernel per phase. ----
     let warps_per_team = thread_limit.div_ceil(32);
+    let footprint = stage.footprint();
     let mut kernel_cycles = 0.0f64;
     let mut launches = 0u32;
     for phase in &trace.phases {
@@ -173,15 +148,12 @@ pub fn run_multi_team(
     }
     let kernel_time_s = gpu.spec.cycles_to_seconds(kernel_cycles);
     let overhead_s = launches as f64 * gpu.spec.launch_overhead_us * 1e-6;
-    transfer_seconds += gpu.transfers.record(TransferDirection::DeviceToHost, 4);
+    let transfer_seconds = stage.h2d_s + stage.copy_back(gpu);
 
-    let (exit_code, trap) = match outcome {
-        Ok(c) => (Some(services.exit_code_of(0).unwrap_or(c)), None),
-        Err(e) => (services.exit_code_of(0), Some(e.to_string())),
-    };
+    let (exit_code, trap) = exit_status(&services, 0, &outcome);
     Ok(MultiTeamResult {
         exit_code,
-        trap,
+        trap: trap.map(|e| e.to_string()),
         stdout: services.stdout_of(0).to_string(),
         total_time_s: kernel_time_s + overhead_s + transfer_seconds,
         kernel_time_s: kernel_time_s + overhead_s,
@@ -247,6 +219,7 @@ fn split_phase(phase: &Phase, num_teams: u32, warps_per_team: u32) -> Vec<BlockT
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::AppContext;
     use crate::ensemble::{run_ensemble, EnsembleOptions};
     use device_libc::dl_printf;
     use gpu_sim::{Gpu, KernelError};

@@ -156,7 +156,7 @@ mod tests {
                 let req = Request::decode(payload).map_err(|e| e.to_string())?;
                 Ok(services.handle(req).encode())
             };
-            let mut ctx = TeamCtx::new(&mut mem, 0, 1, 32, 0, 48 << 10);
+            let mut ctx = TeamCtx::new(&mut mem, 0, 1, 32, 48 << 10);
             ctx.set_host_call(&mut hook, None);
             out = ctx.serial("t", f).unwrap();
         }

@@ -69,7 +69,7 @@ mod tests {
 
     fn with_lane<R>(f: impl FnOnce(&mut LaneCtx<'_, '_>) -> Result<R, KernelError>) -> R {
         let mut mem = DeviceMemory::new(1 << 22);
-        let mut ctx = TeamCtx::new(&mut mem, 0, 1, 32, 7, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut mem, 7, 8, 32, 48 << 10);
         ctx.serial("test", f).unwrap()
     }
 
@@ -133,7 +133,7 @@ mod tests {
     fn allocations_carry_instance_tag() {
         let mut mem = DeviceMemory::new(1 << 22);
         let p = {
-            let mut ctx = TeamCtx::new(&mut mem, 3, 8, 32, 3, 48 << 10);
+            let mut ctx = TeamCtx::new(&mut mem, 3, 8, 32, 48 << 10);
             ctx.serial("alloc", |lane| dl_malloc(lane, 64)).unwrap()
         };
         assert_eq!(mem.region_of(p.0).unwrap().tag, 3);

@@ -74,7 +74,7 @@ mod tests {
     #[test]
     fn values_match_std_and_cost_accrues() {
         let mut mem = DeviceMemory::new(1 << 20);
-        let mut ctx = TeamCtx::new(&mut mem, 0, 1, 32, 0, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut mem, 0, 1, 32, 48 << 10);
         ctx.serial("math", |lane| {
             assert_eq!(dl_sqrt(lane, 9.0), 3.0);
             assert!((dl_exp(lane, 1.0) - std::f64::consts::E).abs() < 1e-12);

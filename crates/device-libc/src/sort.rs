@@ -171,7 +171,7 @@ mod tests {
 
     fn run<R>(f: impl FnOnce(&mut LaneCtx<'_, '_>) -> Result<R, KernelError>) -> R {
         let mut mem = DeviceMemory::new(1 << 22);
-        let mut ctx = TeamCtx::new(&mut mem, 0, 1, 32, 0, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut mem, 0, 1, 32, 48 << 10);
         ctx.serial("t", f).unwrap()
     }
 

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 
 fn with_lane<R>(f: impl FnOnce(&mut gpu_sim::LaneCtx<'_, '_>) -> Result<R, KernelError>) -> R {
     let mut mem = DeviceMemory::new(1 << 23);
-    let mut ctx = TeamCtx::new(&mut mem, 0, 1, 32, 0, 48 << 10);
+    let mut ctx = TeamCtx::new(&mut mem, 0, 1, 32, 48 << 10);
     ctx.serial("prop", f).unwrap()
 }
 

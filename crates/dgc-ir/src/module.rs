@@ -259,10 +259,6 @@ impl Module {
         self.globals.iter().find(|g| g.name == name)
     }
 
-    pub fn global_mut(&mut self, name: &str) -> Option<&mut Global> {
-        self.globals.iter_mut().find(|g| g.name == name)
-    }
-
     pub fn symbol(&self, name: &str) -> Option<Symbol<'_>> {
         self.function(name)
             .map(Symbol::Function)

@@ -454,8 +454,7 @@ mod tests {
     fn schedule_replay_covers_blocks_phases_and_waves() {
         use gpu_sim::{Gpu, KernelSpec};
         let mut gpu = Gpu::a100();
-        let mut spec = KernelSpec::new("obs", 3, 32);
-        spec.collect_detail = true;
+        let spec = KernelSpec::new("obs", 3, 32);
         let res = gpu
             .launch(&spec, None, |ctx| {
                 ctx.serial("work", |lane| {
@@ -465,7 +464,7 @@ mod tests {
                 Ok(0)
             })
             .unwrap();
-        let sched = res.schedule.unwrap();
+        let sched = res.schedule;
         let mut rec = Recorder::enabled();
         record_schedule(&mut rec, &sched, 1.0, 10.0);
         let blocks = rec.events().iter().filter(|e| e.cat == "block").count();

@@ -186,11 +186,6 @@ impl GpuSpec {
         self.dram_bandwidth_gbps * 1e9 / self.clock_hz()
     }
 
-    /// Host-device transfer bandwidth in bytes per second.
-    pub fn pcie_bytes_per_sec(&self) -> f64 {
-        self.pcie_bandwidth_gbps * 1e9
-    }
-
     /// Convert a cycle count on this device into seconds.
     pub fn cycles_to_seconds(&self, cycles: f64) -> f64 {
         cycles / self.clock_hz()

@@ -852,16 +852,6 @@ impl DeviceMemory {
         }
         Ok(out)
     }
-
-    /// Copy raw bytes from host to device.
-    pub fn write_bytes(&mut self, ptr: DevicePtr, src: &[u8]) -> Result<(), AccessError> {
-        self.write_slice(ptr, src)
-    }
-
-    /// Copy raw bytes from device to host.
-    pub fn read_bytes(&self, ptr: DevicePtr, len: usize) -> Result<Vec<u8>, AccessError> {
-        self.read_slice(ptr, len)
-    }
 }
 
 #[cfg(test)]

@@ -163,7 +163,9 @@ struct TeamInner<'g> {
     rpc_services: Option<Vec<u32>>,
     shared: Vec<u8>,
     shared_limit: u64,
-    default_tag: u32,
+    /// The team's id, which is also the tag of every heap region it
+    /// allocates (the instance id under ensemble execution).
+    team_id: u32,
 }
 
 /// The execution context handed to one lane (thread) of a team.
@@ -180,7 +182,7 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
     /// The heap-region tag of this team — the instance id under ensemble
     /// execution. Device-libc stubs use it to label RPC requests.
     pub fn tag(&self) -> u32 {
-        self.inner.default_tag
+        self.inner.team_id
     }
 
     /// Load a scalar from global memory.
@@ -242,7 +244,7 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
     /// Allocate `bytes` of device-heap memory, tagged with this team's tag.
     /// This is the primitive `device-libc`'s `malloc` is built on.
     pub fn dev_alloc(&mut self, bytes: u64) -> Result<DevicePtr, KernelError> {
-        let tag = self.inner.default_tag;
+        let tag = self.inner.team_id;
         let recycled_before = self.inner.mem.stats().recycled_allocations;
         let p = self
             .inner
@@ -261,7 +263,7 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
     /// footprint (for out-of-memory behaviour) while running functionally
     /// on scaled-down materialized arrays.
     pub fn dev_reserve(&mut self, bytes: u64) -> Result<DevicePtr, KernelError> {
-        let tag = self.inner.default_tag;
+        let tag = self.inner.team_id;
         let recycled_before = self.inner.mem.stats().recycled_allocations;
         let p = self
             .inner
@@ -332,7 +334,6 @@ impl<'t, 'g> LaneCtx<'t, 'g> {
 pub struct TeamCtx<'g> {
     inner: TeamInner<'g>,
     trace: TeamTrace,
-    team_id: u32,
     num_teams: u32,
     lane_count: u32,
     scratches: Vec<LaneScratch>,
@@ -341,13 +342,12 @@ pub struct TeamCtx<'g> {
 
 impl<'g> TeamCtx<'g> {
     /// Create a context for team `team_id` of `num_teams`, with
-    /// `lane_count` usable threads, allocating with `default_tag`.
+    /// `lane_count` usable threads, tagging its allocations `team_id`.
     pub fn new(
         mem: &'g mut DeviceMemory,
         team_id: u32,
         num_teams: u32,
         lane_count: u32,
-        default_tag: u32,
         shared_limit: u64,
     ) -> Self {
         Self::with_lanes(
@@ -355,7 +355,6 @@ impl<'g> TeamCtx<'g> {
             team_id,
             num_teams,
             lane_count,
-            default_tag,
             shared_limit,
             Vec::new(),
         )
@@ -370,7 +369,6 @@ impl<'g> TeamCtx<'g> {
         team_id: u32,
         num_teams: u32,
         lane_count: u32,
-        default_tag: u32,
         shared_limit: u64,
         mut lanes: Vec<LaneScratch>,
     ) -> Self {
@@ -383,7 +381,7 @@ impl<'g> TeamCtx<'g> {
             rpc_services: None,
             shared: Vec::new(),
             shared_limit,
-            default_tag,
+            team_id,
         };
         let mut trace = TeamTrace {
             phases: Vec::new(),
@@ -402,7 +400,6 @@ impl<'g> TeamCtx<'g> {
         Self {
             inner,
             trace,
-            team_id,
             num_teams,
             lane_count,
             scratches: lanes,
@@ -418,7 +415,7 @@ impl<'g> TeamCtx<'g> {
     }
 
     pub fn team_id(&self) -> u32 {
-        self.team_id
+        self.inner.team_id
     }
 
     pub fn num_teams(&self) -> u32 {
@@ -428,12 +425,6 @@ impl<'g> TeamCtx<'g> {
     /// Usable threads in this team (the loader's `-t` thread limit).
     pub fn thread_limit(&self) -> u32 {
         self.lane_count
-    }
-
-    /// The tag new device allocations receive (the instance id under
-    /// ensemble execution).
-    pub fn default_tag(&self) -> u32 {
-        self.inner.default_tag
     }
 
     /// Allocate a team-local shared-memory array of `len` `T`s.
@@ -590,13 +581,6 @@ impl<'g> TeamCtx<'g> {
         &self.trace
     }
 
-    /// Labels of the phases recorded so far, in execution order — the same
-    /// order the timing engine's `PhaseSpan`s replay them. Observation
-    /// only: never affects any recorded cost.
-    pub fn phase_labels(&self) -> Vec<&str> {
-        self.trace.phases.iter().map(|p| p.label.as_str()).collect()
-    }
-
     fn check_poisoned(&self) -> Result<(), KernelError> {
         match &self.error {
             Some(e) => Err(e.clone()),
@@ -727,7 +711,7 @@ mod tests {
     fn parallel_for_writes_functionally() {
         let mut m = mem();
         let buf = m.alloc(8 * 1000).unwrap();
-        let mut ctx = TeamCtx::new(&mut m, 0, 1, 128, 0, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut m, 0, 1, 128, 48 << 10);
         ctx.parallel_for("fill", 1000, |i, lane| {
             lane.st_idx::<f64>(buf, i, i as f64 * 2.0)
         })
@@ -744,7 +728,7 @@ mod tests {
     fn dense_writes_are_coalesced() {
         let mut m = mem();
         let buf = m.alloc(8 * 1024).unwrap();
-        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 0, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 48 << 10);
         ctx.parallel_for("fill", 1024, |i, lane| lane.st_idx::<f64>(buf, i, 1.0))
             .unwrap();
         let trace = ctx.finish();
@@ -762,7 +746,7 @@ mod tests {
         let n = 32 * 16usize;
         let src: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let buf = m.alloc_from_slice(&src, 0).unwrap();
-        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 0, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 48 << 10);
         let mut sum = 0.0;
         ctx.parallel_for("gather", 32, |i, lane| {
             // Stride of 16 elements = 128 bytes: every lane its own line.
@@ -781,7 +765,7 @@ mod tests {
     fn serial_only_occupies_warp_zero() {
         let mut m = mem();
         let buf = m.alloc(64).unwrap();
-        let mut ctx = TeamCtx::new(&mut m, 0, 1, 256, 0, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut m, 0, 1, 256, 48 << 10);
         ctx.serial("init", |lane| {
             lane.st::<u64>(buf, 42)?;
             lane.work(100.0);
@@ -801,7 +785,7 @@ mod tests {
         let mut m = mem();
         let src: Vec<f64> = (0..500).map(|i| i as f64).collect();
         let buf = m.alloc_from_slice(&src, 0).unwrap();
-        let mut ctx = TeamCtx::new(&mut m, 0, 1, 64, 0, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut m, 0, 1, 64, 48 << 10);
         let total = ctx
             .parallel_for_reduce_f64("sum", 500, |i, lane| lane.ld_idx::<f64>(buf, i))
             .unwrap();
@@ -816,7 +800,7 @@ mod tests {
         let a = m
             .alloc_tagged(8 * 64, gpu_mem::Backing::Materialized, 5)
             .unwrap();
-        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 5, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut m, 5, 6, 32, 48 << 10);
         ctx.parallel_for("touch", 64, |i, lane| lane.st_idx::<f64>(a, i, 0.0))
             .unwrap();
         let trace = ctx.finish();
@@ -830,7 +814,7 @@ mod tests {
     fn access_fault_poisons_team() {
         let mut m = mem();
         let buf = m.alloc(8).unwrap();
-        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 0, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 48 << 10);
         let err = ctx
             .parallel_for("oob", 64, |i, lane| lane.st_idx::<f64>(buf, i, 0.0))
             .unwrap_err();
@@ -904,7 +888,7 @@ mod tests {
     fn bank_conflicts_charge_issue_work() {
         let run = |stride: u64| {
             let mut m = mem();
-            let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 0, 48 << 10);
+            let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 48 << 10);
             let buf = ctx.shared_alloc::<u32>(32 * 32).unwrap();
             ctx.parallel_for("sh", 32, |i, lane| {
                 lane.sh_ld::<u32>(&buf, (i * stride) as usize)?;
@@ -924,7 +908,7 @@ mod tests {
     #[test]
     fn shared_memory_roundtrip_and_limit() {
         let mut m = mem();
-        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 0, 1024);
+        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 1024);
         let buf = ctx.shared_alloc::<f64>(16).unwrap();
         ctx.serial("sh", |lane| {
             lane.sh_st(&buf, 3, 7.5)?;
@@ -942,7 +926,7 @@ mod tests {
     #[test]
     fn dev_alloc_inside_kernel() {
         let mut m = mem();
-        let mut ctx = TeamCtx::new(&mut m, 2, 4, 32, 9, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut m, 9, 10, 32, 48 << 10);
         let p = ctx
             .serial("alloc", |lane| {
                 let p = lane.dev_alloc(256)?;
@@ -957,7 +941,7 @@ mod tests {
     #[test]
     fn host_call_requires_stub() {
         let mut m = mem();
-        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 0, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 48 << 10);
         let mut hook = |svc: u32, payload: &[u8]| -> Result<Vec<u8>, String> {
             assert_eq!(svc, 1);
             Ok(payload.to_vec())
@@ -985,7 +969,7 @@ mod tests {
         let mut m = mem();
         let p = m.alloc(8).unwrap();
         m.store::<f64>(p, 10.0).unwrap();
-        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 0, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 48 << 10);
         ctx.serial("atomic", |lane| {
             assert_eq!(lane.atomic_add_f64(p, 2.5)?, 10.0);
             assert_eq!(lane.atomic_add_f64(p, 2.5)?, 12.5);
@@ -999,7 +983,7 @@ mod tests {
     fn iterations_beyond_lanes_wrap_rounds() {
         let mut m = mem();
         let buf = m.alloc(8 * 100).unwrap();
-        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 0, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut m, 0, 1, 32, 48 << 10);
         // 100 iterations on 32 lanes = 4 rounds (ceil).
         ctx.parallel_for("fill", 100, |i, lane| lane.st_idx::<f64>(buf, i, i as f64))
             .unwrap();

@@ -41,15 +41,6 @@ pub enum TeamOutcome {
     Trap(KernelError),
 }
 
-impl TeamOutcome {
-    pub fn return_code(&self) -> Option<i32> {
-        match self {
-            TeamOutcome::Return(c) => Some(*c),
-            TeamOutcome::Trap(_) => None,
-        }
-    }
-}
-
 /// A fault injected into one team by [`KernelSpec::fault_of_team`].
 ///
 /// Injection is deterministic and purely additive: a spec without the hook
@@ -88,15 +79,6 @@ pub struct KernelSpec<'a> {
     pub footprint_multiplier: f64,
     /// Host-RPC services with stubs; `None` = unrestricted.
     pub rpc_services: Option<Vec<u32>>,
-    /// Keep the per-block segment traces in the result (off by default:
-    /// traces can be large for big ensembles).
-    pub keep_traces: bool,
-    /// Record the scheduling timeline ([`LaunchResult::schedule`]) for
-    /// trace export. Off by default; never changes the timing outcome.
-    pub collect_detail: bool,
-    /// Attribute cycles to stall buckets ([`LaunchResult::stalls`]). Off
-    /// by default; like `collect_detail`, pure bookkeeping.
-    pub collect_stalls: bool,
     /// Deterministic fault injection: called once per team before the team
     /// body runs. `None` (the default) — and any hook returning `None` for
     /// every team — leaves the launch bit-identical to an uninjected one.
@@ -127,9 +109,6 @@ impl<'a> KernelSpec<'a> {
             lanes_per_team,
             footprint_multiplier: 1.0,
             rpc_services: None,
-            keep_traces: false,
-            collect_detail: false,
-            collect_stalls: false,
             fault_of_team: None,
             cycle_budget: None,
             sample_interval: None,
@@ -151,20 +130,22 @@ pub struct TeamSummary {
     pub rpc_calls: u64,
 }
 
-/// Result of a completed launch.
+/// Result of a completed launch. Every launch hands back the same shape:
+/// traces, schedule and stalls are pure bookkeeping that never changes a
+/// timing outcome, so there is nothing to switch off.
 #[derive(Debug)]
 pub struct LaunchResult {
     pub report: SimReport,
     pub team_outcomes: Vec<TeamOutcome>,
-    /// The segment traces, when [`KernelSpec::keep_traces`] was set —
-    /// the raw material for per-phase performance analysis.
-    pub block_traces: Option<Vec<BlockTrace>>,
-    /// The scheduling timeline, when [`KernelSpec::collect_detail`] was
-    /// set — block placement, phase spans and wave starts.
-    pub schedule: Option<ScheduleDetail>,
-    /// Stall-cycle attribution, when [`KernelSpec::collect_stalls`] was
-    /// set — kernel-wide and per-block exclusive buckets.
-    pub stalls: Option<StallAttribution>,
+    /// The per-block segment traces the timing engine replayed — the raw
+    /// material for per-phase performance analysis.
+    pub block_traces: Vec<BlockTrace>,
+    /// The scheduling timeline: block placement, phase spans and wave
+    /// starts.
+    pub schedule: ScheduleDetail,
+    /// Stall-cycle attribution: kernel-wide and per-block exclusive
+    /// buckets.
+    pub stalls: StallAttribution,
     /// Periodic utilization samples, when [`KernelSpec::sample_interval`]
     /// was set.
     pub timeline: Option<UtilizationTimeline>,
@@ -236,7 +217,6 @@ impl Gpu {
                 team,
                 spec.num_teams,
                 spec.lanes_per_team,
-                team,
                 self.spec.shared_mem_per_block,
                 std::mem::take(&mut lanes),
             );
@@ -291,13 +271,13 @@ impl Gpu {
             blocks: &block_traces,
             params: &self.timing,
             footprint_multiplier: spec.footprint_multiplier,
-            collect_detail: spec.collect_detail,
-            collect_stalls: spec.collect_stalls,
+            collect_detail: true,
+            collect_stalls: true,
             cycle_budget: spec.cycle_budget,
             sample_interval: spec.sample_interval,
         });
-        let schedule = timing.detail.take();
-        let stalls = timing.stalls.take();
+        let schedule = timing.detail.take().expect("detail was requested");
+        let stalls = timing.stalls.take().expect("stalls were requested");
         let timeline = timing.timeline.take();
 
         // Teams reaped by the watchdog trap with `Timeout`, whatever their
@@ -363,7 +343,7 @@ impl Gpu {
         Ok(LaunchResult {
             report,
             team_outcomes: outcomes,
-            block_traces: spec.keep_traces.then_some(block_traces),
+            block_traces,
             schedule,
             stalls,
             timeline,
@@ -379,13 +359,11 @@ mod tests {
     /// A memory-streaming team body: read `n` f64s, accumulate, write one.
     fn streaming_body(n: u64) -> impl FnMut(&mut TeamCtx<'_>) -> Result<i32, KernelError> {
         move |ctx| {
-            let tag = ctx.default_tag();
             let (src, dst) = ctx.serial("alloc", |lane| {
                 let src = lane.dev_alloc(8 * n)?;
                 let dst = lane.dev_alloc(8)?;
                 Ok((src, dst))
             })?;
-            let _ = tag;
             let sum = ctx.parallel_for_reduce_f64("sum", n, |i, lane| {
                 lane.work(2.0);
                 lane.ld_idx::<f64>(src, i)
@@ -448,7 +426,10 @@ mod tests {
         let spec = KernelSpec::new("tags", 4, 32);
         let mut seen = Vec::new();
         gpu.launch(&spec, None, |ctx| {
-            seen.push(ctx.default_tag());
+            ctx.serial("tag", |lane| {
+                seen.push(lane.tag());
+                Ok(())
+            })?;
             Ok(0)
         })
         .unwrap();
@@ -514,9 +495,9 @@ mod tests {
     }
 
     #[test]
-    fn traces_kept_only_on_request() {
+    fn launch_hands_back_its_traces() {
         let mut gpu = Gpu::a100();
-        let mut spec = KernelSpec::new("traces", 2, 32);
+        let spec = KernelSpec::new("traces", 2, 32);
         let body = |ctx: &mut TeamCtx<'_>| {
             ctx.serial("w", |lane| {
                 lane.work(10.0);
@@ -525,10 +506,7 @@ mod tests {
             Ok(0)
         };
         let res = gpu.launch(&spec, None, body).unwrap();
-        assert!(res.block_traces.is_none());
-        spec.keep_traces = true;
-        let res = gpu.launch(&spec, None, body).unwrap();
-        let traces = res.block_traces.unwrap();
+        let traces = res.block_traces;
         assert_eq!(traces.len(), 2);
         assert!(traces[0].teams[0].phases.len() >= 2); // prologue + serial
     }
@@ -536,8 +514,7 @@ mod tests {
     #[test]
     fn team_summaries_and_schedule_expose_per_instance_work() {
         let mut gpu = Gpu::a100();
-        let mut spec = KernelSpec::new("obs", 4, 32);
-        spec.collect_detail = true;
+        let spec = KernelSpec::new("obs", 4, 32);
         let res = gpu.launch(&spec, None, streaming_body(10_000)).unwrap();
         assert_eq!(res.team_summaries.len(), 4);
         for s in &res.team_summaries {
@@ -546,31 +523,21 @@ mod tests {
         }
         let total: f64 = res.team_summaries.iter().map(|s| s.insts).sum();
         assert!((total - res.report.total_insts).abs() < 1e-6);
-        let sched = res.schedule.expect("collect_detail set");
-        assert_eq!(sched.blocks.len(), 4);
-        assert!(!sched.phase_spans.is_empty());
-        // Without the flag, no timeline is paid for.
-        spec.collect_detail = false;
-        let res = gpu.launch(&spec, None, streaming_body(10_000)).unwrap();
-        assert!(res.schedule.is_none());
+        assert_eq!(res.schedule.blocks.len(), 4);
+        assert!(!res.schedule.phase_spans.is_empty());
     }
 
     #[test]
     fn stall_attribution_surfaces_per_block_buckets() {
         let mut gpu = Gpu::a100();
-        let mut spec = KernelSpec::new("stalls", 4, 32);
-        spec.collect_stalls = true;
+        let spec = KernelSpec::new("stalls", 4, 32);
         let res = gpu.launch(&spec, None, streaming_body(10_000)).unwrap();
-        let st = res.stalls.expect("collect_stalls set");
+        let st = res.stalls;
         assert_eq!(st.kernel.total(), res.report.kernel_cycles);
         assert_eq!(st.blocks.len(), res.report.blocks as usize);
         for (bi, b) in st.blocks.iter().enumerate() {
             assert_eq!(b.total(), res.report.block_end_cycles[bi]);
         }
-        // Off by default.
-        spec.collect_stalls = false;
-        let res = gpu.launch(&spec, None, streaming_body(10_000)).unwrap();
-        assert!(res.stalls.is_none());
     }
 
     #[test]
@@ -611,7 +578,6 @@ mod tests {
         let run = |inject: bool| {
             let mut gpu = Gpu::a100();
             let mut spec = KernelSpec::new("ident", 4, 32);
-            spec.collect_stalls = true;
             let none = |_: u32| None;
             if inject {
                 spec.fault_of_team = Some(&none);
@@ -680,7 +646,6 @@ mod tests {
         let run = |interval: Option<f64>| {
             let mut gpu = Gpu::a100();
             let mut spec = KernelSpec::new("sampled", 4, 32);
-            spec.collect_stalls = true;
             spec.sample_interval = interval;
             gpu.launch(&spec, None, streaming_body(10_000)).unwrap()
         };

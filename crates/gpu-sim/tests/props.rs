@@ -222,7 +222,7 @@ proptest! {
     fn parallel_fill_correct_for_any_thread_limit(lanes in 1u32..257, trip in 1u64..2_000) {
         let mut mem = DeviceMemory::new(1 << 22);
         let buf = mem.alloc(trip * 8).unwrap();
-        let mut ctx = TeamCtx::new(&mut mem, 0, 1, lanes, 0, 48 << 10);
+        let mut ctx = TeamCtx::new(&mut mem, 0, 1, lanes, 48 << 10);
         ctx.parallel_for("fill", trip, |i, lane| lane.st_idx::<f64>(buf, i, i as f64 * 3.0))
             .unwrap();
         drop(ctx);
@@ -336,7 +336,7 @@ proptest! {
         let useful = |lanes: u32| {
             let mut mem = DeviceMemory::new(1 << 22);
             let buf = mem.alloc(trip * 8).unwrap();
-            let mut ctx = TeamCtx::new(&mut mem, 0, 1, lanes, 0, 48 << 10);
+            let mut ctx = TeamCtx::new(&mut mem, 0, 1, lanes, 48 << 10);
             ctx.parallel_for("fill", trip, |i, lane| lane.st_idx::<f64>(buf, i, 0.0))
                 .unwrap();
             ctx.finish().total_useful_bytes()
@@ -367,17 +367,16 @@ proptest! {
         let mut gpu = Gpu::a100();
         let buf = gpu.mem.alloc(len * 8).unwrap();
         let body = pool_probe(buf, len, &trips, fail);
-        let mut spec = KernelSpec::new("pool", teams, lanes);
-        spec.keep_traces = true;
+        let spec = KernelSpec::new("pool", teams, lanes);
         let res = gpu.launch(&spec, None, &body).unwrap();
-        let traces = res.block_traces.unwrap();
+        let traces = &res.block_traces;
         if trips[fail as usize] > 0 {
             let failed = &res.team_outcomes[fail as usize];
             prop_assert!(matches!(failed, TeamOutcome::Trap(_)), "team {} gave {:?}", fail, failed);
         }
         for t in 0..teams {
             let shared = gpu.spec.shared_mem_per_block;
-            let mut fresh = TeamCtx::new(&mut gpu.mem, t, teams, lanes, t, shared);
+            let mut fresh = TeamCtx::new(&mut gpu.mem, t, teams, lanes, shared);
             let outcome = match body(&mut fresh) {
                 Ok(code) => TeamOutcome::Return(code),
                 Err(e) => TeamOutcome::Trap(e),

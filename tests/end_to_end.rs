@@ -191,6 +191,32 @@ fn plain_loader_and_ensemble_of_one_agree() {
     )
     .unwrap();
     assert_eq!(single.stdout, ens.stdout[0]);
+
+    // On fresh devices the two launches are one kernel: the same cycles,
+    // the same host calls and the same stall decomposition of block 0.
+    let single = loader
+        .run(
+            &mut Gpu::a100(),
+            &app,
+            &["-l", "30"],
+            HostServices::default(),
+        )
+        .unwrap();
+    let ens = run_ensemble(
+        &mut Gpu::a100(),
+        &app,
+        &args(&["-l", "30"]),
+        &opts,
+        HostServices::default(),
+    )
+    .unwrap();
+    assert_eq!(
+        single.report.kernel_cycles.to_bits(),
+        ens.report.kernel_cycles.to_bits()
+    );
+    assert_eq!(single.rpc_stats, ens.rpc_stats);
+    assert!(single.rpc_stats.total() > 0);
+    assert_eq!(single.stalls.blocks[0], ens.metrics[0].stall);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //!
 //! Two kinds of case, one JSON object per line:
 //!
-//! * **loader** — one team through `Loader { keep_traces, collect_stalls }`
+//! * **loader** — one team through `Loader { thread_limit, .. }`
 //!   for each of the four apps at its `figure6 --smoke` line, plus the
 //!   allocation-churn kernel below, at thread limits 32, 100 and 1024.
 //!   A `loader` line holds the report's kernel cycles, instructions and
@@ -138,8 +138,6 @@ fn seg_key(s: &MixedSeg) -> String {
 fn loader_case(app: &HostApp, line: &str, thread_limit: u32, out: &mut Vec<String>) {
     let loader = Loader {
         thread_limit,
-        keep_traces: true,
-        collect_stalls: true,
         ..Default::default()
     };
     let args = words(line);
@@ -148,7 +146,7 @@ fn loader_case(app: &HostApp, line: &str, thread_limit: u32, out: &mut Vec<Strin
         .run(&mut Gpu::a100(), app, &argv, HostServices::default())
         .unwrap();
     let case = format!("{} {line} tl{thread_limit}", app.name);
-    let traces = res.block_traces.expect("keep_traces keeps the traces");
+    let traces = res.block_traces;
     let phases = &traces[0].teams[0].phases;
     out.push(format!(
         r#"{{"kind":"loader","case":"{case}","trap":{},"cycles":"{}","insts":"{}","sectors":{},"phases":{}}}"#,
