@@ -233,6 +233,10 @@ pub enum EnsembleError {
         instances: u32,
         lines: usize,
     },
+    /// The executor was handed a fleet without devices.
+    EmptyFleet,
+    /// The recovery policy allows no launch attempt (`max_attempts` 0).
+    NoAttempts,
 }
 
 impl std::fmt::Display for EnsembleError {
@@ -255,6 +259,8 @@ impl std::fmt::Display for EnsembleError {
                 "ensemble of {instances} instances needs {instances} argument lines but the \
                  argument file has only {lines}; pass --cycle-args to reuse lines modulo"
             ),
+            EnsembleError::EmptyFleet => write!(f, "an ensemble needs at least one device"),
+            EnsembleError::NoAttempts => write!(f, "max_attempts must be at least 1"),
         }
     }
 }

@@ -101,7 +101,9 @@ impl ShardedResilientResult {
 /// instance exhausts its attempts. Instances that exit non-zero are
 /// *not* retried — a deterministic application result is not a fault.
 /// If every device is dead while instances remain, the remainder is
-/// marked unrecovered.
+/// marked unrecovered. An empty fleet or a policy of zero attempts is
+/// refused before anything launches ([`EnsembleError::EmptyFleet`],
+/// [`EnsembleError::NoAttempts`]).
 ///
 /// Pilot runs ([`InstanceCosts::estimate`], once, on device 0's spec)
 /// happen only in memory-aware mode or when a fleet of several devices
@@ -124,8 +126,12 @@ pub fn run_ensemble_sharded_resilient_mem_aware(
     obs: &mut Recorder,
     mem_aware: bool,
 ) -> Result<ShardedResilientResult, EnsembleError> {
-    assert!(!fleet.is_empty(), "an ensemble needs at least one device");
-    assert!(policy.max_attempts >= 1, "max_attempts must be at least 1");
+    if fleet.is_empty() {
+        return Err(EnsembleError::EmptyFleet);
+    }
+    if policy.max_attempts == 0 {
+        return Err(EnsembleError::NoAttempts);
+    }
     let m = fleet.len();
     let n = opts.num_instances.max(1);
     ensure_arg_capacity(arg_lines, n, opts.cycle_args)?;

@@ -10,7 +10,8 @@ use gpu_sim::StallBuckets;
 /// How hard to try before giving up on an instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryPolicy {
-    /// Launch attempts per instance (≥ 1; 1 disables retries).
+    /// Launch attempts per instance (≥ 1; 1 disables retries). The
+    /// executor refuses 0 with `EnsembleError::NoAttempts`.
     pub max_attempts: u32,
     /// Simulated wait before the first retry round, seconds.
     pub backoff_base_s: f64,

@@ -7,10 +7,10 @@ use common::*;
 use dgc_core::{
     run_ensemble, run_ensemble_traced, AppContext, EnsembleError, EnsembleOptions, HostApp,
 };
-use dgc_fault::{run_ensemble_sharded_resilient_mem_aware, FaultPlan};
+use dgc_fault::{run_ensemble_sharded_resilient_mem_aware, FaultPlan, RecoveryPolicy};
 use dgc_obs::Recorder;
 use dgc_sched::Placement;
-use gpu_sim::{Gpu, KernelError, TeamCtx};
+use gpu_sim::{DeviceFleet, Gpu, KernelError, TeamCtx};
 use host_rpc::HostServices;
 
 fn lines(text: &str) -> Vec<Vec<String>> {
@@ -128,6 +128,53 @@ fn arg_shortfall_is_an_error_without_cycle_args() {
         })
     ));
     assert_eq!(fleet.gpu(0).mem.stats().live_allocations, 0);
+}
+
+#[test]
+fn empty_fleet_is_an_error_not_a_panic() {
+    let err = run_ensemble_sharded_resilient_mem_aware(
+        &mut DeviceFleet::from_gpus(Vec::new()),
+        &app(),
+        &lines("-n 50\n"),
+        &opts(2),
+        0,
+        Placement::RoundRobin,
+        &FaultPlan::default(),
+        &no_recovery(),
+        &mut Recorder::disabled(),
+        false,
+    )
+    .expect_err("an empty fleet is refused");
+    assert!(matches!(err, EnsembleError::EmptyFleet), "{err}");
+    assert_eq!(err.to_string(), "an ensemble needs at least one device");
+}
+
+#[test]
+fn zero_attempts_is_an_error_before_anything_launches() {
+    let mut fleet = one_a100();
+    let mut obs = Recorder::enabled();
+    let err = run_ensemble_sharded_resilient_mem_aware(
+        &mut fleet,
+        &app(),
+        &lines("-n 50\n"),
+        &opts(2),
+        0,
+        Placement::RoundRobin,
+        &FaultPlan::default(),
+        &RecoveryPolicy {
+            max_attempts: 0,
+            ..no_recovery()
+        },
+        &mut obs,
+        true,
+    )
+    .expect_err("zero attempts are refused");
+    assert!(matches!(err, EnsembleError::NoAttempts), "{err}");
+    assert_eq!(err.to_string(), "max_attempts must be at least 1");
+    // Refused up front: no pilot, no launch, no allocation, no span.
+    assert!(obs.events().is_empty());
+    let stats = fleet.gpu(0).mem.stats();
+    assert_eq!((stats.total_allocations, stats.live_allocations), (0, 0));
 }
 
 #[test]

@@ -345,3 +345,30 @@ fn empty_shard_devices_are_tolerated() {
     assert_eq!(res.per_device_time_s[2], 0.0);
     assert!(makespan_s(&res) > 0.0);
 }
+
+/// xsbench `-l 60 -g 16` × 8 (one line, cycled) at thread limit 32 on
+/// two A100s placed by LPT: every instance succeeds, and each device's
+/// busy time is pinned bit for bit to the executor's recorded output.
+#[test]
+fn sharded_xsbench_x8_dev2_pins_per_device_time() {
+    let mut fleet = DeviceFleet::homogeneous(gpu_arch::GpuSpec::a100_40gb(), 2);
+    let line: Vec<String> = ["-l", "60", "-g", "16"].map(String::from).to_vec();
+    let res = run_ensemble_sharded_resilient_mem_aware(
+        &mut fleet,
+        &dgc_apps::xsbench::app(),
+        std::slice::from_ref(&line),
+        &opts(8),
+        0,
+        Placement::Lpt,
+        &FaultPlan::default(),
+        &no_recovery(),
+        &mut Recorder::disabled(),
+        false,
+    )
+    .unwrap();
+    assert!(res.all_succeeded(), "{:?}", res.ensemble.instances);
+    // LPT splits the eight equal instances 4/4: 0.0009958152588890195 s
+    // each, 2,808,199.03 simulated cycles in all at 1.41 GHz.
+    let bits: Vec<u64> = res.per_device_time_s.iter().map(|t| t.to_bits()).collect();
+    assert_eq!(bits, [0x3f5050c07e10f9c5, 0x3f5050c07e10f9c5]);
+}

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! dgc-insight analyze --trace <trace.json> [--out <report.md>] [--flame-out <stacks.folded>]
-//! dgc-insight append  --bench <BENCH_ensemble.json> --ledger <ledger.jsonl>
-//!                     [--timestamp <iso8601>] [--util-mean <f>] [--util-p95 <f>] [--makespan-s <f>]
+//! dgc-insight append  --perfbench <result> --workload <w> --seconds <s>
+//!                     --ledger <ledger.jsonl> [--timestamp <iso8601>]
 //! dgc-insight report  --ledger <ledger.jsonl> [--out <report.md>]
 //! dgc-insight check   --ledger <ledger.jsonl> [--tolerance 0.5] [--window 5]
 //! dgc-insight flame-check <stacks.folded>
@@ -12,6 +12,11 @@
 //! Exit codes follow `prof-diff`'s contract: `0` pass, `1` regression
 //! (or invalid flamegraph), `2` usage or parse error.
 //!
+//! `append` reads the last line of a saved `perfbench/run.py --trace 0`
+//! stdout and appends it as one row, keyed by the run's workload and
+//! seconds. A run that is not `correct`, failed any unit or is traced
+//! (it has no `wall_s`) is refused (exit 2) and nothing is appended.
+//!
 //! `analyze` reconstructs a span graph from a merged Chrome trace — an
 //! approximate path (durations round-trip through µs). For the
 //! bit-exact report, use `ensemble-cli --insight-out`, which renders
@@ -19,17 +24,18 @@
 
 use dgc_insight::{
     folded_stacks, iso8601_utc, render_report, validate_folded, Ledger, LedgerEntry,
+    PerfbenchResult,
 };
 use dgc_obs::SpanGraph;
-use dgc_prof::BenchReport;
+use dgc_prof::git_rev;
 
 fn fail_usage(msg: &str) -> ! {
     eprintln!("dgc-insight: {msg}");
     eprintln!(
         "usage: dgc-insight analyze --trace <trace.json> [--out <md>] [--flame-out <folded>]"
     );
-    eprintln!("       dgc-insight append --bench <BENCH.json> --ledger <ledger.jsonl> [--timestamp <iso>]");
-    eprintln!("                          [--util-mean <f>] [--util-p95 <f>] [--makespan-s <f>]");
+    eprintln!("       dgc-insight append --perfbench <result> --workload <w> --seconds <s>");
+    eprintln!("                          --ledger <ledger.jsonl> [--timestamp <iso>]");
     eprintln!("       dgc-insight report --ledger <ledger.jsonl> [--out <md>]");
     eprintln!("       dgc-insight check --ledger <ledger.jsonl> [--tolerance 0.5] [--window 5]");
     eprintln!("       dgc-insight flame-check <stacks.folded>");
@@ -121,16 +127,25 @@ fn main() {
             let f = Flags::parse(
                 rest,
                 &[
-                    "--bench",
+                    "--perfbench",
+                    "--workload",
+                    "--seconds",
                     "--ledger",
                     "--timestamp",
-                    "--util-mean",
-                    "--util-p95",
-                    "--makespan-s",
                 ],
             );
-            let bench = BenchReport::parse(&read(f.require("--bench")))
-                .unwrap_or_else(|e| fail(&format!("bench report: {e}")));
+            let run = PerfbenchResult::parse(&read(f.require("--perfbench")))
+                .unwrap_or_else(|e| fail(&format!("perfbench result: {e}")));
+            let workload = f.require("--workload");
+            if workload.is_empty() {
+                fail_usage("--workload needs a name");
+            }
+            let seconds = f.require("--seconds");
+            let seconds = seconds
+                .parse::<f64>()
+                .ok()
+                .filter(|s| s.is_finite() && *s > 0.0)
+                .unwrap_or_else(|| fail_usage(&format!("bad value for --seconds: '{seconds}'")));
             let ledger_path = f.require("--ledger");
             let timestamp = f
                 .get("--timestamp")
@@ -142,10 +157,8 @@ fn main() {
                         .unwrap_or(0);
                     iso8601_utc(now)
                 });
-            let mut entry = LedgerEntry::from_bench(&bench, &timestamp);
-            entry.utilization_mean = f.get_f64("--util-mean");
-            entry.utilization_p95 = f.get_f64("--util-p95");
-            entry.makespan_s = f.get_f64("--makespan-s");
+            let entry = LedgerEntry::from_perfbench(run, workload, seconds, &git_rev(), &timestamp)
+                .unwrap_or_else(|e| fail(&e));
             // Validate the existing ledger before appending, so a broken
             // file fails loudly instead of growing.
             let mut text = std::fs::read_to_string(ledger_path).unwrap_or_default();

@@ -1,13 +1,15 @@
 //! The cross-run perf ledger.
 //!
 //! An append-only JSONL file (one [`LedgerEntry`] per line, conventionally
-//! `results/ledger.jsonl`) accumulating every benchmark run's provenance
-//! and headline rates: git revision, workload config fingerprint, the
-//! `bench_harness` section throughputs, and optional utilization/makespan
-//! rollups. On top of it:
+//! `results/ledger.jsonl`) of benchmark runs: their provenance (timestamp,
+//! git revision, workload fingerprint) and host-throughput rates, one
+//! [`LedgerSection`] per measured section. A schema-2 row records one
+//! perfbench run ([`PerfbenchResult`], the last stdout line of
+//! `perfbench/run.py`); the schema-1 rows before them recorded the retired
+//! self-benchmark and still load. On top of it:
 //!
-//! * [`Ledger::report`] — a markdown trend report over the runs sharing
-//!   the latest entry's config fingerprint;
+//! * [`Ledger::report`] — a markdown trend report: per config
+//!   fingerprint, a rate table per section over that fingerprint's runs;
 //! * [`Ledger::check`] — the trend gate: the latest run's section rates
 //!   must not fall more than a tolerance below the trailing median of
 //!   the preceding comparable runs. The `dgc-insight check` binary maps
@@ -17,27 +19,168 @@
 //! Entries with different config fingerprints are never trended against
 //! each other — a changed workload is a new baseline, not a regression.
 
-use dgc_prof::BenchReport;
+use dgc_prof::config_fingerprint;
 use serde::{Serialize, Value};
 
-/// Ledger line schema. History: 1 — initial (provenance + section rates
-/// + optional utilization/makespan rollups).
-pub const LEDGER_SCHEMA_VERSION: u32 = 1;
+/// Ledger row schema. History: 1 — the retired self-benchmark's sections
+/// (`instances_per_s`, `sim_cycles_per_s`) with optional utilization and
+/// makespan rollups; 2 — one perfbench run: its result fields and one
+/// section named after the workload (`instances_per_s`, `sim_insts_per_s`).
+pub const LEDGER_SCHEMA_VERSION: u32 = 2;
 
-/// One benchmark section's rates, as stored on a ledger line.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// The rate keys a section of `schema` carries.
+fn rate_keys(schema: u32) -> Result<[&'static str; 2], String> {
+    match schema {
+        1 => Ok(["instances_per_s", "sim_cycles_per_s"]),
+        2 => Ok(["instances_per_s", "sim_insts_per_s"]),
+        other => Err(format!("unknown ledger schema {other}")),
+    }
+}
+
+/// How a rate key reads in reports: `sim_insts_per_s` → `sim insts/s`.
+fn rate_label(key: &str) -> String {
+    key.replace("_per_s", "/s").replace('_', " ")
+}
+
+/// One measured section's host time and throughput rates.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LedgerSection {
     pub name: String,
     /// Host wall-clock of the section, seconds.
     pub wall_s: f64,
-    /// Completed instances per host second.
-    pub instances_per_s: f64,
-    /// Simulated device cycles per host second.
-    pub sim_cycles_per_s: f64,
+    /// Two rates per host second, by key: `instances_per_s`, then
+    /// `sim_cycles_per_s` (schema 1) or `sim_insts_per_s` (schema 2).
+    pub rates: [(&'static str, f64); 2],
 }
 
-/// One run of the benchmark harness, as appended to the ledger.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+impl LedgerSection {
+    fn rate(&self, key: &str) -> Option<f64> {
+        self.rates.iter().find(|r| r.0 == key).map(|r| r.1)
+    }
+}
+
+/// One metric of a perfbench result.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerfbenchMetric {
+    pub name: String,
+    pub value: f64,
+    pub unit: String,
+}
+
+/// A perfbench result: `{"correct", "attempted", "failed", "metrics":
+/// {name: {"value", "unit"}}}`, as `perfbench/run.py` prints it last.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PerfbenchResult {
+    /// Every pass's outputs, digests and exact counts checked.
+    pub correct: bool,
+    pub attempted: u64,
+    pub failed: u64,
+    /// Every metric of the line, in its order.
+    pub metrics: Vec<PerfbenchMetric>,
+}
+
+impl PerfbenchResult {
+    /// Read the last non-blank line of `text`: a saved `run.py` stdout,
+    /// or just its result line.
+    pub fn parse(text: &str) -> Result<PerfbenchResult, String> {
+        let line = text
+            .lines()
+            .rev()
+            .find(|l| !l.trim().is_empty())
+            .ok_or("no perfbench result line")?;
+        let doc: Value =
+            serde_json::from_str(line).map_err(|e| format!("perfbench result JSON: {e}"))?;
+        PerfbenchResult::from_value(&doc)
+    }
+
+    /// The result fields of an object: a result line, or a schema-2
+    /// ledger row, which carries them at its top level.
+    fn from_value(doc: &Value) -> Result<PerfbenchResult, String> {
+        let field = |key: &str| {
+            doc.get(key)
+                .ok_or_else(|| format!("perfbench result without {key}"))
+        };
+        let count = |key: &str| {
+            field(key)?
+                .as_u64()
+                .ok_or_else(|| format!("perfbench {key} is not a count"))
+        };
+        let metrics = field("metrics")?
+            .as_object()
+            .ok_or("perfbench metrics is not an object")?
+            .iter()
+            .map(|(name, m)| {
+                let value = m.get("value").and_then(Value::as_f64);
+                let unit = m.get("unit").and_then(Value::as_str);
+                match (value, unit) {
+                    (Some(value), Some(unit)) => Ok(PerfbenchMetric {
+                        name: name.clone(),
+                        value,
+                        unit: unit.to_string(),
+                    }),
+                    _ => Err(format!(
+                        "perfbench metric {name:?} needs a value and a unit"
+                    )),
+                }
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        Ok(PerfbenchResult {
+            correct: field("correct")?
+                .as_bool()
+                .ok_or("perfbench correct is not a boolean")?,
+            attempted: count("attempted")?,
+            failed: count("failed")?,
+            metrics,
+        })
+    }
+
+    fn metric(&self, name: &str) -> Option<f64> {
+        self.metrics
+            .iter()
+            .find(|m| m.name == name)
+            .map(|m| m.value)
+    }
+
+    /// The run's section, named after `workload`: its `wall_s`,
+    /// `instances_per_s` and `sim_insts_per_s`, which an untraced run
+    /// (`--trace 0`) reports and a traced one does not.
+    fn section(&self, workload: &str) -> Result<LedgerSection, String> {
+        let need = |name: &str| {
+            self.metric(name)
+                .ok_or_else(|| format!("perfbench result has no {name}"))
+        };
+        let [inst_key, sim_key] = rate_keys(LEDGER_SCHEMA_VERSION)?;
+        Ok(LedgerSection {
+            name: workload.to_string(),
+            wall_s: need("wall_s")?,
+            rates: [(inst_key, need(inst_key)?), (sim_key, need(sim_key)?)],
+        })
+    }
+
+    /// The result fields as they sit in a ledger row.
+    fn fields(&self) -> Vec<(String, Value)> {
+        let metrics = self
+            .metrics
+            .iter()
+            .map(|m| {
+                let v = Value::Object(vec![
+                    ("value".into(), Value::F64(m.value)),
+                    ("unit".into(), Value::Str(m.unit.clone())),
+                ]);
+                (m.name.clone(), v)
+            })
+            .collect();
+        vec![
+            ("correct".into(), Value::Bool(self.correct)),
+            ("attempted".into(), Value::U64(self.attempted)),
+            ("failed".into(), Value::U64(self.failed)),
+            ("metrics".into(), Value::Object(metrics)),
+        ]
+    }
+}
+
+/// One benchmark run, as appended to the ledger.
+#[derive(Debug, Clone, PartialEq)]
 pub struct LedgerEntry {
     pub schema: u32,
     /// UTC timestamp of the append, ISO-8601 (`2026-08-09T12:00:00Z`).
@@ -47,97 +190,112 @@ pub struct LedgerEntry {
     /// Workload fingerprint ([`dgc_prof::config_fingerprint`]); trend
     /// comparisons only happen between equal fingerprints.
     pub config_hash: String,
-    pub total_wall_s: f64,
-    /// Launch-level issue-utilization rollups, when the run sampled a
-    /// timeline (`null` otherwise).
-    pub utilization_mean: Option<f64>,
-    pub utilization_p95: Option<f64>,
-    /// Reported ensemble makespan, when the run produced one.
-    pub makespan_s: Option<f64>,
+    /// The perfbench result the row records (`None` on schema-1 rows).
+    pub run: Option<PerfbenchResult>,
     pub sections: Vec<LedgerSection>,
 }
 
 impl LedgerEntry {
-    /// Build a ledger line from a `BENCH_ensemble.json` report. Schema-1
-    /// reports carry `"unknown"` provenance and still append cleanly.
-    pub fn from_bench(report: &BenchReport, timestamp: &str) -> LedgerEntry {
-        LedgerEntry {
+    /// A schema-2 row for one untraced perfbench run of `workload` at
+    /// `--seconds seconds`, fingerprinted by those two. A run that is not
+    /// `correct` or failed any unit is refused: its rates would time work
+    /// that did not check.
+    pub fn from_perfbench(
+        run: PerfbenchResult,
+        workload: &str,
+        seconds: f64,
+        git_rev: &str,
+        timestamp: &str,
+    ) -> Result<LedgerEntry, String> {
+        if !run.correct || run.failed > 0 {
+            return Err(format!(
+                "perfbench run reports correct: {}, failed: {}; only clean runs are recorded",
+                run.correct, run.failed
+            ));
+        }
+        Ok(LedgerEntry {
             schema: LEDGER_SCHEMA_VERSION,
             timestamp: timestamp.to_string(),
-            git_rev: report.git_rev.clone(),
-            config_hash: report.config_hash.clone(),
-            total_wall_s: report.total_wall_s,
-            utilization_mean: None,
-            utilization_p95: None,
-            makespan_s: None,
-            sections: report
-                .sections
-                .iter()
-                .map(|s| LedgerSection {
-                    name: s.name.clone(),
-                    wall_s: s.wall_s,
-                    instances_per_s: s.instances_per_s,
-                    sim_cycles_per_s: s.sim_cycles_per_s,
-                })
-                .collect(),
-        }
+            git_rev: git_rev.to_string(),
+            config_hash: config_fingerprint(["perfbench", workload, &seconds.to_string()]),
+            sections: vec![run.section(workload)?],
+            run: Some(run),
+        })
     }
 
     /// Serialize as one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        serde_json::to_string(self).expect("ledger entry serializes")
+        let mut row = vec![
+            ("schema".into(), Value::U64(self.schema.into())),
+            ("timestamp".into(), Value::Str(self.timestamp.clone())),
+            ("git_rev".into(), Value::Str(self.git_rev.clone())),
+            ("config_hash".into(), Value::Str(self.config_hash.clone())),
+        ];
+        if let Some(run) = &self.run {
+            row.extend(run.fields());
+        }
+        let sections = self
+            .sections
+            .iter()
+            .map(|s| {
+                let mut o = vec![
+                    ("name".into(), Value::Str(s.name.clone())),
+                    ("wall_s".into(), Value::F64(s.wall_s)),
+                ];
+                o.extend(s.rates.iter().map(|&(k, v)| (k.to_string(), Value::F64(v))));
+                Value::Object(o)
+            })
+            .collect();
+        row.push(("sections".into(), Value::Array(sections)));
+        serde_json::to_string(&Value::Object(row)).expect("ledger entry serializes")
     }
 
-    /// Parse one JSONL line.
+    /// Parse one JSONL line of any schema.
     pub fn parse(line: &str) -> Result<LedgerEntry, String> {
         let doc: Value = serde_json::from_str(line).map_err(|e| format!("ledger JSON: {e}"))?;
-        let str_field = |key: &str| -> Result<String, String> {
+        let text = |key: &str| {
             doc.get(key)
-                .and_then(|v| v.as_str())
-                .map(|s| s.to_string())
+                .and_then(Value::as_str)
+                .map(str::to_string)
                 .ok_or_else(|| format!("ledger line without {key}"))
         };
-        let f64_field = |key: &str| -> Result<f64, String> {
-            doc.get(key)
-                .and_then(|v| v.as_f64())
-                .ok_or_else(|| format!("ledger line without {key}"))
-        };
-        let opt = |key: &str| doc.get(key).and_then(|v| v.as_f64());
         let schema = doc
             .get("schema")
-            .and_then(|v| v.as_u64())
-            .ok_or("ledger line without schema")? as u32;
-        let raw_sections = doc
+            .and_then(Value::as_u64)
+            .and_then(|s| u32::try_from(s).ok())
+            .ok_or("ledger line without schema")?;
+        let keys = rate_keys(schema)?;
+        let sections = doc
             .get("sections")
-            .and_then(|v| v.as_array())
-            .ok_or("ledger line without sections")?;
-        let mut sections = Vec::with_capacity(raw_sections.len());
-        for s in raw_sections {
-            let sf = |key: &str| -> Result<f64, String> {
-                s.get(key)
-                    .and_then(|v| v.as_f64())
-                    .ok_or_else(|| format!("ledger section without {key}"))
-            };
-            sections.push(LedgerSection {
-                name: s
-                    .get("name")
-                    .and_then(|v| v.as_str())
-                    .ok_or("ledger section without name")?
-                    .to_string(),
-                wall_s: sf("wall_s")?,
-                instances_per_s: sf("instances_per_s")?,
-                sim_cycles_per_s: sf("sim_cycles_per_s")?,
-            });
-        }
+            .and_then(Value::as_array)
+            .ok_or("ledger line without sections")?
+            .iter()
+            .map(|s| {
+                let num = |key: &str| {
+                    s.get(key)
+                        .and_then(Value::as_f64)
+                        .ok_or_else(|| format!("ledger section without {key}"))
+                };
+                Ok(LedgerSection {
+                    name: s
+                        .get("name")
+                        .and_then(Value::as_str)
+                        .ok_or("ledger section without name")?
+                        .to_string(),
+                    wall_s: num("wall_s")?,
+                    rates: [(keys[0], num(keys[0])?), (keys[1], num(keys[1])?)],
+                })
+            })
+            .collect::<Result<Vec<_>, String>>()?;
         Ok(LedgerEntry {
             schema,
-            timestamp: str_field("timestamp")?,
-            git_rev: str_field("git_rev")?,
-            config_hash: str_field("config_hash")?,
-            total_wall_s: f64_field("total_wall_s")?,
-            utilization_mean: opt("utilization_mean"),
-            utilization_p95: opt("utilization_p95"),
-            makespan_s: opt("makespan_s"),
+            timestamp: text("timestamp")?,
+            git_rev: text("git_rev")?,
+            config_hash: text("config_hash")?,
+            run: match schema {
+                1 => None,
+                _ => Some(PerfbenchResult::from_value(&doc)?),
+            },
             sections,
         })
     }
@@ -213,6 +371,16 @@ fn median(sorted_input: &[f64]) -> f64 {
     }
 }
 
+/// A rate as a report cell: one decimal, or three in scientific notation
+/// from 1e5 up.
+fn fmt_rate(v: f64) -> String {
+    if v.abs() >= 1e5 {
+        format!("{v:.3e}")
+    } else {
+        format!("{v:.1}")
+    }
+}
+
 impl Ledger {
     /// Parse a JSONL document; blank lines are tolerated, a malformed
     /// line is an error naming its line number.
@@ -279,33 +447,20 @@ impl Ledger {
             return Ok(check);
         }
         for section in &latest.sections {
-            let series = |pick: fn(&LedgerSection) -> f64| -> Vec<f64> {
-                prior
+            for &(key, current) in &section.rates {
+                let history: Vec<f64> = prior
                     .iter()
-                    .flat_map(|e| e.sections.iter())
+                    .flat_map(|e| &e.sections)
                     .filter(|s| s.name == section.name)
-                    .map(pick)
-                    .collect()
-            };
-            for (metric, current, history) in [
-                (
-                    "instances/s",
-                    section.instances_per_s,
-                    series(|s| s.instances_per_s),
-                ),
-                (
-                    "sim cycles/s",
-                    section.sim_cycles_per_s,
-                    series(|s| s.sim_cycles_per_s),
-                ),
-            ] {
+                    .filter_map(|s| s.rate(key))
+                    .collect();
                 if history.is_empty() {
                     continue;
                 }
                 let med = median(&history);
                 check.deltas.push(CheckDelta {
                     section: section.name.clone(),
-                    metric: metric.to_string(),
+                    metric: rate_label(key),
                     current,
                     median: med,
                     ratio: if med > 0.0 { current / med } else { 1.0 },
@@ -316,71 +471,94 @@ impl Ledger {
         Ok(check)
     }
 
-    /// Render the markdown trend report: provenance of every run, then
-    /// per-section rate tables over the runs comparable to the latest.
+    /// Render the markdown trend report: the run count and the latest
+    /// run, then one part per config fingerprint, in order of first
+    /// appearance, with a rate table per section over that fingerprint's
+    /// runs.
     pub fn report(&self) -> String {
         let mut out = String::from("# Perf ledger trend report\n\n");
-        if self.entries.is_empty() {
+        let Some(latest) = self.entries.last() else {
             out.push_str("The ledger is empty.\n");
             return out;
-        }
-        let latest = self.entries.last().expect("non-empty");
+        };
         out.push_str(&format!(
-            "{} run(s) on record; latest {} @ `{}` (config `{}`).\n\n",
+            "{} run(s) on record; latest {} @ `{}` (config `{}`). \
+             Runs are trended only against runs of the same config.\n\n",
             self.entries.len(),
             latest.timestamp,
             latest.git_rev,
             latest.config_hash
         ));
-        let comparable: Vec<&LedgerEntry> = self
-            .entries
-            .iter()
-            .filter(|e| e.config_hash == latest.config_hash)
-            .collect();
-        let foreign = self.entries.len() - comparable.len();
-        if foreign > 0 {
-            out.push_str(&format!(
-                "{foreign} run(s) with other config fingerprints are excluded from the trend.\n\n"
-            ));
-        }
-        let mut section_names: Vec<&str> = Vec::new();
-        for e in &comparable {
-            for s in &e.sections {
-                if !section_names.contains(&s.name.as_str()) {
-                    section_names.push(&s.name);
-                }
+        let mut configs: Vec<&str> = Vec::new();
+        for e in &self.entries {
+            if !configs.contains(&e.config_hash.as_str()) {
+                configs.push(&e.config_hash);
             }
         }
-        for name in section_names {
-            out.push_str(&format!("## `{name}`\n\n"));
-            out.push_str("| timestamp | git rev | wall s | instances/s | sim cycles/s |\n");
-            out.push_str("|---|---|---:|---:|---:|\n");
-            let mut rates = Vec::new();
-            for e in &comparable {
-                if let Some(s) = e.sections.iter().find(|s| s.name == name) {
-                    out.push_str(&format!(
-                        "| {} | `{}` | {:.3} | {:.1} | {:.3e} |\n",
-                        e.timestamp, e.git_rev, s.wall_s, s.instances_per_s, s.sim_cycles_per_s
-                    ));
-                    rates.push(s.instances_per_s);
-                }
-            }
-            if rates.len() > 1 {
-                let hist = &rates[..rates.len() - 1];
-                let med = median(hist);
-                let cur = *rates.last().expect("non-empty");
-                let delta = if med > 0.0 {
-                    (cur / med - 1.0) * 100.0
-                } else {
-                    0.0
-                };
-                out.push_str(&format!(
-                    "\ntrailing median {med:.1} instances/s, latest {cur:.1} ({delta:+.1}%)\n"
-                ));
-            }
-            out.push('\n');
+        for config in configs {
+            let runs: Vec<&LedgerEntry> = self
+                .entries
+                .iter()
+                .filter(|e| e.config_hash == config)
+                .collect();
+            out.push_str(&format!("## Config `{config}`: {} run(s)\n\n", runs.len()));
+            trend_tables(&mut out, &runs);
         }
         out
+    }
+}
+
+/// One rate table per section of `runs` (all of one config), each with
+/// the latest instance rate against the trailing median of the rest.
+fn trend_tables(out: &mut String, runs: &[&LedgerEntry]) {
+    let mut sections: Vec<&LedgerSection> = Vec::new();
+    for s in runs.iter().flat_map(|e| &e.sections) {
+        if !sections.iter().any(|t| t.name == s.name) {
+            sections.push(s);
+        }
+    }
+    for first in sections {
+        let name = &first.name;
+        let keys = first.rates.map(|r| r.0);
+        out.push_str(&format!("### `{name}`\n\n"));
+        out.push_str(&format!(
+            "| timestamp | git rev | wall s | {} | {} |\n",
+            rate_label(keys[0]),
+            rate_label(keys[1])
+        ));
+        out.push_str("|---|---|---:|---:|---:|\n");
+        let mut rates = Vec::new();
+        for e in runs {
+            if let Some(s) = e.sections.iter().find(|s| &s.name == name) {
+                let cell = |k: &str| s.rate(k).map_or("–".into(), fmt_rate);
+                out.push_str(&format!(
+                    "| {} | `{}` | {:.3} | {} | {} |\n",
+                    e.timestamp,
+                    e.git_rev,
+                    s.wall_s,
+                    cell(keys[0]),
+                    cell(keys[1])
+                ));
+                rates.extend(s.rate(keys[0]));
+            }
+        }
+        if rates.len() > 1 {
+            let hist = &rates[..rates.len() - 1];
+            let med = median(hist);
+            let cur = *rates.last().expect("non-empty");
+            let delta = if med > 0.0 {
+                (cur / med - 1.0) * 100.0
+            } else {
+                0.0
+            };
+            out.push_str(&format!(
+                "\ntrailing median {} {label}, latest {} ({delta:+.1}%)\n",
+                fmt_rate(med),
+                fmt_rate(cur),
+                label = rate_label(keys[0])
+            ));
+        }
+        out.push('\n');
     }
 }
 
@@ -408,58 +586,156 @@ pub fn iso8601_utc(unix_secs: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dgc_prof::{BenchSection, BENCH_SCHEMA_VERSION};
 
-    fn bench(rate: f64) -> BenchReport {
-        BenchReport {
-            schema: BENCH_SCHEMA_VERSION,
-            git_rev: "abc123def456".into(),
-            config_hash: "00ff00ff00ff00ff".into(),
-            total_wall_s: 1.0,
-            sections: vec![BenchSection {
-                name: "figure6_smoke_tl32".into(),
-                wall_s: 1.0,
-                instances: 100,
-                sim_cycles: 1e9,
-                instances_per_s: rate,
-                sim_cycles_per_s: rate * 1e7,
-            }],
-        }
+    /// A row as the retired self-benchmark appended it.
+    const SCHEMA_1_ROW: &str = r#"{"schema":1,"timestamp":"2026-10-18T04:34:36Z","git_rev":"9f253d7f9257","config_hash":"a145a9c01ec7df61","total_wall_s":0.37552315,"utilization_mean":null,"utilization_p95":null,"makespan_s":null,"sections":[{"name":"figure6_smoke_tl32","wall_s":0.242052978,"instances_per_s":214.82900326060025,"sim_cycles_per_s":39870242.12303859},{"name":"sharded_xsbench_x8_dev2","wall_s":0.09039174,"instances_per_s":88.50366194964275,"sim_cycles_per_s":31066987.20554594}]}"#;
+
+    /// An untraced perfbench result line whose instance rate is `rate`.
+    fn line(rate: f64, correct: bool, failed: u64) -> String {
+        format!(
+            r#"{{"correct": {correct}, "attempted": 576, "failed": {failed}, "metrics": {{"wall_s": {{"value": 0.36, "unit": "s"}}, "setup_s": {{"value": 0.027, "unit": "s"}}, "instances_per_s": {{"value": {rate}, "unit": "1/s"}}, "sim_insts_per_s": {{"value": {}, "unit": "1/s"}}, "peak_rss_mb": {{"value": 6.0, "unit": "MiB"}}}}}}"#,
+            rate * 1.7e4
+        )
+    }
+
+    fn entry(rate: f64, timestamp: &str) -> LedgerEntry {
+        let run = PerfbenchResult::parse(&line(rate, true, 0)).unwrap();
+        LedgerEntry::from_perfbench(run, "serve-closed", 55.0, "abc123def456", timestamp).unwrap()
     }
 
     fn ledger_of(rates: &[f64]) -> Ledger {
         let text: String = rates
             .iter()
             .enumerate()
-            .map(|(i, &r)| {
-                let mut e =
-                    LedgerEntry::from_bench(&bench(r), &iso8601_utc(1_700_000_000 + i as u64));
-                e.makespan_s = Some(0.5);
-                e.to_json_line() + "\n"
-            })
+            .map(|(i, &r)| entry(r, &iso8601_utc(1_700_000_000 + i as u64)).to_json_line() + "\n")
             .collect();
         Ledger::load(&text).unwrap()
     }
 
     #[test]
     fn entry_round_trips_through_jsonl() {
-        let mut e = LedgerEntry::from_bench(&bench(100.0), "2026-08-09T00:00:00Z");
-        e.utilization_mean = Some(0.4);
-        e.utilization_p95 = Some(0.9);
+        let e = entry(532.5, "2026-08-09T00:00:00Z");
+        assert_eq!(e.schema, 2);
         let back = LedgerEntry::parse(&e.to_json_line()).unwrap();
         assert_eq!(e, back);
+        // The row keeps every metric of the line, by name, with its unit.
+        let run = back.run.unwrap();
+        assert_eq!((run.correct, run.attempted, run.failed), (true, 576, 0));
+        assert_eq!(run.metrics.len(), 5);
+        assert_eq!(run.metrics[4].name, "peak_rss_mb");
+        assert_eq!(run.metrics[4].unit, "MiB");
         assert!(LedgerEntry::parse("{}").is_err());
         assert!(LedgerEntry::parse("not json").is_err());
-        // Missing optional rollups parse as None.
-        let plain = LedgerEntry::from_bench(&bench(1.0), "t");
-        let back = LedgerEntry::parse(&plain.to_json_line()).unwrap();
-        assert_eq!(back.utilization_mean, None);
-        assert_eq!(back.makespan_s, None);
+        // A schema-2 row without its result fields is malformed.
+        let bare = e.to_json_line().replace(r#""correct":true,"#, "");
+        assert!(LedgerEntry::parse(&bare).is_err());
+        assert!(
+            LedgerEntry::parse(&e.to_json_line().replace(r#""schema":2"#, r#""schema":3"#))
+                .unwrap_err()
+                .contains("schema 3")
+        );
+    }
+
+    #[test]
+    fn perfbench_run_becomes_one_section_named_after_the_workload() {
+        let e = entry(500.0, "t");
+        assert_eq!(e.sections.len(), 1);
+        let s = &e.sections[0];
+        assert_eq!(s.name, "serve-closed");
+        assert_eq!(s.wall_s, 0.36);
+        assert_eq!(
+            s.rates,
+            [("instances_per_s", 500.0), ("sim_insts_per_s", 8.5e6)]
+        );
+        // The fingerprint is the key (workload, seconds), however the
+        // seconds were spelled.
+        let again = entry(1.0, "u");
+        assert_eq!(e.config_hash, again.config_hash);
+        assert_eq!(
+            e.config_hash,
+            config_fingerprint(["perfbench", "serve-closed", "55"])
+        );
+        // run.py's whole stdout: the result is the last line.
+        let stdout = format!("perfbench: building\n{}\n\n", line(1.0, true, 0));
+        let run = PerfbenchResult::parse(&stdout).unwrap();
+        let short = LedgerEntry::from_perfbench(run, "serve-closed", 1.0, "r", "t").unwrap();
+        assert_ne!(short.config_hash, e.config_hash);
+        // A traced line reports layer shares and counts, not the section's
+        // wall time and rates, and is refused.
+        let traced = r#"{"correct": true, "attempted": 24, "failed": 0, "metrics": {"gpu-sim.functional_s": {"value": 1.5, "unit": "s"}, "gpu-sim.teams": {"value": 1056, "unit": "count"}, "trace_overhead": {"value": 0.1, "unit": "ratio"}}}"#;
+        let run = PerfbenchResult::parse(traced).unwrap();
+        let err = LedgerEntry::from_perfbench(run, "ensemble-1024", 1.0, "r", "t").unwrap_err();
+        assert!(err.contains("no wall_s"), "{err}");
+    }
+
+    #[test]
+    fn append_refuses_runs_that_did_not_check() {
+        for (correct, failed) in [(false, 0), (true, 3), (false, 1)] {
+            let run = PerfbenchResult::parse(&line(100.0, correct, failed)).unwrap();
+            let err = LedgerEntry::from_perfbench(run, "serve-closed", 55.0, "r", "t").unwrap_err();
+            assert!(err.contains(&format!("failed: {failed}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn perfbench_reader_rejects_malformed_results() {
+        assert!(PerfbenchResult::parse("").is_err());
+        assert!(PerfbenchResult::parse("not json").is_err());
+        assert!(PerfbenchResult::parse(r#"{"correct": true}"#).is_err());
+        let good = line(1.0, true, 0);
+        for (from, to) in [
+            (r#""correct": true"#, r#""correct": 1"#),
+            (r#""attempted": 576"#, r#""attempted": -1"#),
+            (r#""unit": "MiB""#, r#""unit": 6"#),
+            (r#""value": 6.0"#, r#""value": "6""#),
+        ] {
+            assert!(good.contains(from));
+            assert!(
+                PerfbenchResult::parse(&good.replace(from, to)).is_err(),
+                "{to}"
+            );
+        }
+    }
+
+    #[test]
+    fn schema_1_and_schema_2_rows_load_report_and_check_alike() {
+        let v1 = LedgerEntry::parse(SCHEMA_1_ROW).unwrap();
+        assert_eq!(v1.run, None);
+        assert_eq!(
+            v1.sections[1].rates,
+            [
+                ("instances_per_s", 88.50366194964275),
+                ("sim_cycles_per_s", 31066987.20554594)
+            ]
+        );
+        let v2 = entry(500.0, "2026-10-20T00:00:00Z").to_json_line();
+        for (row, second) in [(SCHEMA_1_ROW, "sim cycles/s"), (v2.as_str(), "sim insts/s")] {
+            // The same row twice; then the row and a copy at a sixth of
+            // its rates, which `check --tolerance 0.8` flags.
+            let mut slow = LedgerEntry::parse(row).unwrap();
+            for rate in slow.sections.iter_mut().flat_map(|s| &mut s.rates) {
+                rate.1 /= 6.0;
+            }
+            let slow = slow.to_json_line();
+            let ledger = Ledger::load(&format!("{row}\n{row}\n")).unwrap();
+            let check = ledger.check(0.8, 5).unwrap();
+            assert_eq!(check.baseline_runs, 1);
+            assert!(!check.has_regressions(), "{}", check.render());
+            let metrics: Vec<&str> = check.deltas.iter().map(|d| d.metric.as_str()).collect();
+            assert!(metrics.contains(&"instances/s") && metrics.contains(&second));
+            let report = ledger.report();
+            assert!(
+                report.contains(&format!("| wall s | instances/s | {second} |")),
+                "{report}"
+            );
+            let collapsed = Ledger::load(&format!("{row}\n{slow}\n")).unwrap();
+            assert!(collapsed.check(0.8, 5).unwrap().has_regressions());
+        }
     }
 
     #[test]
     fn load_tolerates_blank_lines_and_reports_bad_ones() {
-        let good = LedgerEntry::from_bench(&bench(10.0), "t").to_json_line();
+        let good = entry(10.0, "t").to_json_line();
         let l = Ledger::load(&format!("\n{good}\n\n{good}\n")).unwrap();
         assert_eq!(l.entries.len(), 2);
         let err = Ledger::load(&format!("{good}\nbroken\n")).unwrap_err();
@@ -468,7 +744,7 @@ mod tests {
 
     #[test]
     fn load_lossy_skips_a_half_written_trailing_line_keeping_valid_rows() {
-        let good = LedgerEntry::from_bench(&bench(10.0), "t").to_json_line();
+        let good = entry(10.0, "t").to_json_line();
         // A crash mid-append leaves a truncated final record.
         let truncated = &good[..good.len() / 2];
         let (l, warnings) = Ledger::load_lossy(&format!("{good}\n{good}\n{truncated}"));
@@ -512,7 +788,7 @@ mod tests {
         // A slow run under a *different* workload fingerprint must not
         // drag the median, and a fast history under a different
         // fingerprint must not flag the latest as regressed.
-        let mut foreign = LedgerEntry::from_bench(&bench(1000.0), "t");
+        let mut foreign = entry(1000.0, "t");
         foreign.config_hash = "1111111111111111".into();
         l.entries.insert(0, foreign);
         let check = l.check(0.2, 5).unwrap();
@@ -531,12 +807,25 @@ mod tests {
     }
 
     #[test]
-    fn report_renders_trend_table() {
-        let l = ledger_of(&[100.0, 110.0, 105.0]);
+    fn report_renders_a_trend_table_per_config() {
+        let mut l = ledger_of(&[100.0, 110.0, 105.0]);
+        // A run of another config is reported apart, and is not the
+        // latest run of the first.
+        let mut other = entry(7.0, "t");
+        other.config_hash = "1111111111111111".into();
+        l.entries.insert(1, other);
         let text = l.report();
         assert!(text.contains("# Perf ledger trend report"));
-        assert!(text.contains("3 run(s) on record"));
-        assert!(text.contains("## `figure6_smoke_tl32`"));
+        assert!(text.contains("4 run(s) on record"));
+        let first = text.find(&format!(
+            "## Config `{}`: 3 run(s)",
+            l.entries[0].config_hash
+        ));
+        let second = text.find("## Config `1111111111111111`: 1 run(s)");
+        assert!(first.unwrap() < second.unwrap(), "{text}");
+        assert_eq!(text.matches("### `serve-closed`").count(), 2, "{text}");
+        assert!(text.contains("| 0.360 | 110.0 | 1.870e6 |"), "{text}");
+        assert!(text.contains("| 0.360 | 7.0 | 1.190e5 |"), "{text}");
         assert!(text.contains("trailing median 105.0 instances/s"));
         assert!(Ledger::default().report().contains("empty"));
     }

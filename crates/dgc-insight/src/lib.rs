@@ -15,9 +15,9 @@
 //! * [`folded_stacks`] — inferno-compatible flamegraph export;
 //!   [`validate_folded`] is its CI smoke check.
 //! * [`Ledger`] — the append-only cross-run perf ledger
-//!   (`results/ledger.jsonl`): provenance-stamped benchmark rates with
-//!   a trend report and a trailing-median regression gate sharing
-//!   `prof-diff`'s exit contract.
+//!   (`results/ledger.jsonl`): provenance-stamped perfbench runs
+//!   ([`PerfbenchResult`]) with a trend report and a trailing-median
+//!   regression gate sharing `prof-diff`'s exit contract.
 //!
 //! The `dgc-insight` binary fronts all of it: `analyze`, `append`,
 //! `report`, `check`, `flame-check`.
@@ -32,5 +32,6 @@ pub use critical::{
 };
 pub use flame::{folded_stacks, validate_folded};
 pub use ledger::{
-    iso8601_utc, CheckDelta, Ledger, LedgerCheck, LedgerEntry, LedgerSection, LEDGER_SCHEMA_VERSION,
+    iso8601_utc, CheckDelta, Ledger, LedgerCheck, LedgerEntry, LedgerSection, PerfbenchMetric,
+    PerfbenchResult, LEDGER_SCHEMA_VERSION,
 };

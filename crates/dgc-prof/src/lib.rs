@@ -15,22 +15,13 @@
 //!   repo's three export formats) under a relative tolerance and flags
 //!   regressions; the `prof-diff` binary turns that into a CI gate with
 //!   a non-zero exit code.
-//! * [`BenchDiff`] — the perf-trajectory gate: compares two
-//!   `BENCH_ensemble.json` wall-clock snapshots written by the
-//!   `bench_harness` binary (crate `dgc-bench`), gating instance counts
-//!   exactly, simulated cycles under a relative tolerance, and wall
-//!   time only on catastrophic blow-ups.
 //! * `trace-check` — validates a Chrome trace export against
 //!   [`dgc_obs::validate_chrome_trace`].
 
-mod bench;
 mod diff;
 mod provenance;
 mod roofline;
 
-pub use bench::{
-    BenchDelta, BenchDeltaKind, BenchDiff, BenchReport, BenchSection, BENCH_SCHEMA_VERSION,
-};
 pub use diff::{
     strip_json_fields, ConfigKey, Delta, DeltaKind, ParseError, ProfileDiff, Snapshot,
     ZERO_BASELINE_EPSILON_S,

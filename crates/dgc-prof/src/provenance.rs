@@ -1,9 +1,9 @@
 //! Run provenance: who measured this, and what exactly was measured.
 //!
-//! Every perf artifact that outlives its run — `BENCH_ensemble.json`
-//! (schema ≥ 2) and the `dgc-insight` ledger — stamps two fields from
-//! here: the git revision the code was built from and a fingerprint of
-//! the workload configuration. The rev answers "which code", the
+//! Every perf artifact that outlives its run — a row of the
+//! `dgc-insight` ledger — stamps two fields from here: the git revision
+//! the code was built from and a fingerprint of the workload
+//! configuration. The rev answers "which code", the
 //! fingerprint answers "which experiment": trend analysis must never
 //! compare rates across different workloads, and the hash makes that
 //! check mechanical.

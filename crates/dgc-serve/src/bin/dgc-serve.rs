@@ -49,6 +49,13 @@ struct Cli {
     cfg: ServeConfig,
 }
 
+/// A count flag that must be at least 1.
+fn at_least_one(value: &str, flag: &str) -> Result<u32, String> {
+    value.parse().ok().filter(|n| *n >= 1).ok_or(format!(
+        "{flag} must be a whole number of at least 1, got `{value}`"
+    ))
+}
+
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let cmd = args.first().ok_or("missing subcommand")?.clone();
     if !matches!(cmd.as_str(), "run" | "resume" | "retry-failed" | "status") {
@@ -77,9 +84,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--stdin" => cli.source = Some(Source::Stdin),
             "--watch" => cli.source = Some(Source::Watch(PathBuf::from(need(&mut it, a)?))),
             "--results" => cli.results = Some(PathBuf::from(need(&mut it, a)?)),
-            "--max-wave" => {
-                cli.cfg.max_wave = need(&mut it, a)?.parse().map_err(|_| "bad --max-wave")?
-            }
+            "--max-wave" => cli.cfg.max_wave = at_least_one(&need(&mut it, a)?, a)?,
             "--wave-budget-s" => {
                 cli.cfg.wave_budget_s = need(&mut it, a)?
                     .parse()
@@ -95,9 +100,7 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
                     .map_err(|_| "bad --thread-limit")?
             }
             "--max-attempts" => {
-                cli.cfg.recovery.max_attempts = need(&mut it, a)?
-                    .parse()
-                    .map_err(|_| "bad --max-attempts")?
+                cli.cfg.recovery.max_attempts = at_least_one(&need(&mut it, a)?, a)?
             }
             "--retry-jitter" => {
                 cli.cfg.recovery.jitter_seed = Some(

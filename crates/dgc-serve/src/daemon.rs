@@ -39,7 +39,7 @@ pub type AppResolver = fn(&str) -> Option<HostApp>;
 pub struct ServeConfig {
     /// `thread_limit` for every wave launch.
     pub thread_limit: u32,
-    /// Hard cap on jobs per wave.
+    /// Hard cap on jobs per wave; at least 1 ([`ServeError::MaxWaveZero`]).
     pub max_wave: u32,
     /// Predicted-serial-seconds budget per wave ([`wave_take`]).
     pub wave_budget_s: f64,
@@ -139,6 +139,8 @@ pub enum ServeError {
         app: String,
     },
     Launch(EnsembleError),
+    /// `max_wave` is 0: no wave could ever take a job.
+    MaxWaveZero,
 }
 
 impl std::fmt::Display for ServeError {
@@ -149,6 +151,7 @@ impl std::fmt::Display for ServeError {
                 write!(f, "job `{job}` names unknown app `{app}`")
             }
             ServeError::Launch(e) => write!(f, "wave launch failed: {e}"),
+            ServeError::MaxWaveZero => write!(f, "max_wave must be at least 1"),
         }
     }
 }
@@ -210,6 +213,15 @@ impl StatusSummary {
     }
 }
 
+/// Refuse a configuration no daemon can run, before the journal is
+/// touched.
+fn check_config(cfg: &ServeConfig) -> Result<(), ServeError> {
+    if cfg.max_wave == 0 {
+        return Err(ServeError::MaxWaveZero);
+    }
+    Ok(())
+}
+
 /// The crash-safe ensemble daemon.
 pub struct Daemon {
     cfg: ServeConfig,
@@ -230,6 +242,7 @@ pub struct Daemon {
 impl Daemon {
     /// Start a fresh daemon: new journal with a schema header.
     pub fn create(journal_path: &Path, cfg: ServeConfig) -> Result<Daemon, ServeError> {
+        check_config(&cfg)?;
         let journal = Journal::create(journal_path, cfg.crash_after_journal_bytes)?;
         Ok(Daemon::assemble(cfg, journal, ServeState::default()))
     }
@@ -240,6 +253,7 @@ impl Daemon {
         journal_path: &Path,
         cfg: ServeConfig,
     ) -> Result<(Daemon, ResumeReport), ServeError> {
+        check_config(&cfg)?;
         let loaded = crate::journal::load_lossy(journal_path)?;
         let state = ServeState::replay(&loaded.records);
         let journal = Journal::reopen(

@@ -13,7 +13,7 @@
 //!    final state.
 
 use dgc_core::{AppContext, HostApp};
-use dgc_serve::{Daemon, JobPhase, ServeConfig, StreamOp};
+use dgc_serve::{Daemon, JobPhase, ServeConfig, ServeError, StreamOp};
 use gpu_sim::{KernelError, TeamCtx};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -328,4 +328,28 @@ fn monitor_metrics_track_admission_waves_and_retries() {
     assert!(text.contains("dgc_serve_waves_total"));
     // The wave driver's own sink events flow through the same registry.
     assert!(text.contains("dgc_instances"));
+}
+
+#[test]
+fn zero_max_wave_is_refused_before_the_journal_is_touched() {
+    let zero = ServeConfig {
+        max_wave: 0,
+        ..config()
+    };
+    let fresh = tmp("max-wave-zero.journal");
+    let _ = std::fs::remove_file(&fresh);
+    assert!(matches!(
+        Daemon::create(&fresh, zero.clone()),
+        Err(ServeError::MaxWaveZero)
+    ));
+    assert!(!fresh.exists(), "create wrote a journal it refused");
+    // An existing journal is left byte for byte as it was.
+    let journal = tmp("max-wave-zero-resume.journal");
+    let (_, golden) = run_golden(&journal);
+    let err = Daemon::resume(&journal, zero)
+        .err()
+        .expect("resume refuses");
+    assert!(matches!(err, ServeError::MaxWaveZero));
+    assert_eq!(err.to_string(), "max_wave must be at least 1");
+    assert_eq!(std::fs::read(&journal).unwrap(), golden);
 }
