@@ -15,6 +15,17 @@ if git rev-parse --is-inside-work-tree > /dev/null 2>&1; then
     TREE_BEFORE="$(tree_state)"
 fi
 
+# golden <checked-in> <fresh>: a checked-in golden must equal its fresh
+# regeneration byte for byte, since every simulated number in it is the
+# contract. On a mismatch, show the first differing lines and fail.
+golden() {
+    if ! cmp -s "$1" "$2"; then
+        echo "golden $1 differs from a fresh run:"
+        diff "$1" "$2" | head -n 20 || true
+        exit 1
+    fi
+}
+
 echo "== launch path: one thread =="
 # A launch runs on its caller's thread: teams execute one after another
 # and the host serves each RPC call inline, in device order. No crate a
@@ -39,15 +50,14 @@ PROF_TMP="$(mktemp -d)"
 trap 'rm -rf "$PROF_TMP"' EXIT
 cargo run -q --release -p dgc-bench --bin figure6 -- \
     --smoke --thread-limit 32 --metrics-out "$PROF_TMP/smoke_tl32.jsonl" > /dev/null
-cargo run -q --release -p dgc-prof --bin prof-diff -- \
-    results/smoke_tl32.jsonl "$PROF_TMP/smoke_tl32.jsonl" --tolerance 0.02
+golden results/smoke_tl32.jsonl "$PROF_TMP/smoke_tl32.jsonl"
 
 echo "== prof: chrome trace export validates =="
 printf -- '-l 60 -g 16\n-l 60 -g 16\n' > "$PROF_TMP/args.txt"
 cargo run -q --release -p ensemble-cli -- xsbench -f "$PROF_TMP/args.txt" \
     -n 4 -t 32 --cycle-args --quiet --trace-out "$PROF_TMP/trace.json" \
     --metrics-out "$PROF_TMP/metrics.jsonl" > /dev/null
-cargo run -q --release -p dgc-prof --bin trace-check -- "$PROF_TMP/trace.json"
+cargo run -q --release -p dgc-insight --bin dgc-insight -- trace-check "$PROF_TMP/trace.json"
 
 echo "== kernel_report: the plain loader's whole output vs golden =="
 # The four apps at their figure6 --smoke lines through the plain loader:
@@ -61,7 +71,7 @@ for line in "xsbench -l 60 -g 16" "rsbench -l 60 -w 8 -p 2" "amgmk -n 6 -s 4" \
     cargo run -q --release -p dgc-bench --bin kernel_report -- --json $line \
         >> "$PROF_TMP/kernel_report_smoke.json"
 done
-cmp results/kernel_report_smoke.json "$PROF_TMP/kernel_report_smoke.json"
+golden results/kernel_report_smoke.json "$PROF_TMP/kernel_report_smoke.json"
 
 echo "== fault: injected OOM recovery vs golden snapshot =="
 # Page-Rank-shaped memory wall: the checked-in plan forces device OOM at
@@ -73,8 +83,7 @@ printf -- '-v 400 -d 4 -i 2\n' > "$PROF_TMP/pr_args.txt"
 cargo run -q --release -p ensemble-cli -- pagerank -f "$PROF_TMP/pr_args.txt" \
     -n 8 -t 32 --cycle-args --quiet --faults results/fault_plan.json --auto-batch --max-attempts 4 \
     --no-mem-aware --metrics-out "$PROF_TMP/smoke_faults.jsonl" > /dev/null
-cargo run -q --release -p dgc-prof --bin prof-diff -- \
-    results/smoke_faults.jsonl "$PROF_TMP/smoke_faults.jsonl" --tolerance 0.02
+golden results/smoke_faults.jsonl "$PROF_TMP/smoke_faults.jsonl"
 
 echo "== mem: memory-aware packing vs OOM-then-halve =="
 # Six paper-scale PageRank instances on one 40 GB A100: four fit. The
@@ -97,17 +106,15 @@ grep -q '"attempts":1' "$PROF_TMP/smoke_mem.jsonl"
 legacy_t=$(grep '"record":"launch"' "$PROF_TMP/mem_legacy.jsonl" | grep -o '"total_time_s":[0-9.e-]*' | cut -d: -f2)
 mem_t=$(grep '"record":"launch"' "$PROF_TMP/smoke_mem.jsonl" | grep -o '"total_time_s":[0-9.e-]*' | cut -d: -f2)
 awk -v mem="$mem_t" -v legacy="$legacy_t" 'BEGIN { exit !(mem + 0 < legacy + 0) }'
-cargo run -q --release -p dgc-prof --bin prof-diff -- \
-    results/smoke_mem.jsonl "$PROF_TMP/smoke_mem.jsonl" --tolerance 0.02
+golden results/smoke_mem.jsonl "$PROF_TMP/smoke_mem.jsonl"
 
 echo "== sched: multi-device smoke sweep vs golden snapshot =="
 # Two-device heterogeneous fleet (a100 + half-derated a100): every
-# workload x instance count x placement policy, gated on makespan. A
-# regression here means the cost model or a placement policy drifted.
+# workload x instance count x placement policy, byte for byte. A
+# mismatch here means the cost model or a placement policy drifted.
 cargo run -q --release -p dgc-bench --bin sched_sweep -- \
     --smoke --metrics-out "$PROF_TMP/smoke_sched.jsonl" > /dev/null
-cargo run -q --release -p dgc-prof --bin prof-diff -- \
-    results/smoke_sched.jsonl "$PROF_TMP/smoke_sched.jsonl" --tolerance 0.02
+golden results/smoke_sched.jsonl "$PROF_TMP/smoke_sched.jsonl"
 
 echo "== perfbench: benchmark contract (digests and exact per-layer counts) =="
 # The repo benchmark's workloads pin the simulator's output:
@@ -170,8 +177,9 @@ cargo run -q --release -p dgc-monitor --bin dgc-monitor -- slo \
     --spec results/slo_smoke.json --snapshots "$PROF_TMP/snapshots.om" \
     --json "$PROF_TMP/slo_verdict.json"
 grep -q '"verdict": "ok"' "$PROF_TMP/slo_verdict.json"
-# Exit-code contract (prof-diff convention): a breaching spec must exit
-# 1 and a malformed spec must exit 2 — not crash, not pass.
+# Exit-code contract (0 pass or warn, 1 breach, 2 spec or input error):
+# a breaching spec must exit 1 and a malformed spec must exit 2 — not
+# crash, not pass.
 printf '%s\n' '{ "schema": 1, "slos": [ { "name": "impossible", "target": 1.0, "objective": "dgc_kernel_launches_total < 0" } ] }' \
     > "$PROF_TMP/slo_breach.json"
 set +e

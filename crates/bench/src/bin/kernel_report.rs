@@ -9,7 +9,7 @@
 //! ```
 
 use dgc_core::Loader;
-use dgc_prof::RooflinePoint;
+use dgc_sched::RooflinePoint;
 use gpu_sim::{Gpu, MixedSeg, StallBuckets};
 use serde::{Serialize, Value};
 

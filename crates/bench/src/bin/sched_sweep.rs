@@ -12,8 +12,7 @@
 //! For every workload × instance count × placement policy the sweep runs
 //! one sharded launch and reports the makespan (slowest device). The
 //! `--metrics-out` JSONL stream reuses the `figure6` configuration record
-//! with the benchmark key extended to `name/d<M>/<placement>`, so the
-//! `prof-diff` gate consumes it unmodified.
+//! with the benchmark key extended to `name/d<M>/<placement>`.
 
 use dgc_bench::{default_workloads, smoke_workloads, MeasuredConfig, Workload};
 use dgc_core::EnsembleOptions;

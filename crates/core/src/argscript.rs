@@ -82,7 +82,12 @@ pub fn expand_arg_script(text: &str) -> Result<Vec<Vec<String>>, ScriptError> {
             let mut i = start;
             while (step > 0 && i < end) || (step < 0 && i > end) {
                 expand_template(template, i, lineno, &mut plain)?;
-                i += step;
+                // A next value that overflows i64 lies past `end`: the
+                // range is exhausted.
+                let Some(next) = i.checked_add(step) else {
+                    break;
+                };
+                i = next;
             }
         } else if line.starts_with('@') {
             return Err(ScriptError::Parse {
@@ -266,7 +271,10 @@ impl<'a> Parser<'a> {
     fn unary(&mut self) -> Result<i64, String> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
-            return Ok(-self.unary()?);
+            return self
+                .unary()?
+                .checked_neg()
+                .ok_or_else(|| "negation overflow".to_string());
         }
         self.atom()
     }
@@ -331,6 +339,48 @@ mod tests {
         assert!(eval_expr("1 2", 0).is_err());
         assert!(eval_expr("x", 0).is_err());
         assert!(eval_expr("", 0).is_err());
+    }
+
+    #[test]
+    fn negation_overflow_is_an_error() {
+        assert_eq!(
+            eval_expr("-(0-9223372036854775807-1)", 0),
+            Err("negation overflow".to_string())
+        );
+        assert_eq!(
+            eval_expr("-i", i64::MIN),
+            Err("negation overflow".to_string())
+        );
+        assert_eq!(
+            eval_expr("-(0-9223372036854775807)", 0),
+            Ok(9223372036854775807)
+        );
+    }
+
+    #[test]
+    fn for_range_ends_where_the_next_step_would_overflow() {
+        let lines = expand_arg_script(
+            "@for i in 9223372036854775800..9223372036854775807 step 5: -l {i}\n",
+        )
+        .unwrap();
+        assert_eq!(
+            lines,
+            vec![
+                vec!["-l".to_string(), "9223372036854775800".into()],
+                vec!["-l".to_string(), "9223372036854775805".into()],
+            ]
+        );
+        let lines = expand_arg_script(
+            "@for i in -9223372036854775800..0-9223372036854775807-1 step -5: {i}\n",
+        )
+        .unwrap();
+        assert_eq!(
+            lines,
+            vec![
+                vec!["-9223372036854775800".to_string()],
+                vec!["-9223372036854775805".to_string()],
+            ]
+        );
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! dgc-insight report  --ledger <ledger.jsonl> [--out <report.md>]
 //! dgc-insight check   --ledger <ledger.jsonl> [--tolerance 0.5] [--window 5]
 //! dgc-insight flame-check <stacks.folded>
+//! dgc-insight trace-check <trace.json> [<more.json> ...]
 //! ```
 //!
-//! Exit codes follow `prof-diff`'s contract: `0` pass, `1` regression
-//! (or invalid flamegraph), `2` usage or parse error.
+//! Exit codes: `0` pass, `1` regression (or an invalid flamegraph or
+//! trace), `2` usage, I/O or parse error.
 //!
 //! `append` reads the last line of a saved `perfbench/run.py --trace 0`
 //! stdout and appends it as one row, keyed by the run's workload and
@@ -23,11 +24,10 @@
 //! from the in-process graph.
 
 use dgc_insight::{
-    folded_stacks, iso8601_utc, render_report, validate_folded, Ledger, LedgerEntry,
+    folded_stacks, git_rev, iso8601_utc, render_report, validate_folded, Ledger, LedgerEntry,
     PerfbenchResult,
 };
 use dgc_obs::SpanGraph;
-use dgc_prof::git_rev;
 
 fn fail_usage(msg: &str) -> ! {
     eprintln!("dgc-insight: {msg}");
@@ -39,6 +39,7 @@ fn fail_usage(msg: &str) -> ! {
     eprintln!("       dgc-insight report --ledger <ledger.jsonl> [--out <md>]");
     eprintln!("       dgc-insight check --ledger <ledger.jsonl> [--tolerance 0.5] [--window 5]");
     eprintln!("       dgc-insight flame-check <stacks.folded>");
+    eprintln!("       dgc-insight trace-check <trace.json> [<more.json> ...]");
     std::process::exit(2);
 }
 
@@ -223,6 +224,20 @@ fn main() {
                 Err(e) => {
                     eprintln!("dgc-insight: {path}: {e}");
                     std::process::exit(1);
+                }
+            }
+        }
+        "trace-check" => {
+            if rest.is_empty() {
+                fail_usage("trace-check takes one or more paths");
+            }
+            for path in rest {
+                match dgc_obs::validate_chrome_trace(&read(path)) {
+                    Ok(n) => println!("{path}: ok ({n} events)"),
+                    Err(e) => {
+                        eprintln!("dgc-insight: {path}: {e}");
+                        std::process::exit(1);
+                    }
                 }
             }
         }

@@ -12,14 +12,13 @@
 //!   fingerprint, a rate table per section over that fingerprint's runs;
 //! * [`Ledger::check`] — the trend gate: the latest run's section rates
 //!   must not fall more than a tolerance below the trailing median of
-//!   the preceding comparable runs. The `dgc-insight check` binary maps
-//!   this onto `prof-diff`'s exit contract (0 pass, 1 regression,
-//!   2 usage/parse error).
+//!   the preceding comparable runs. `dgc-insight check` exits 0 on a
+//!   pass, 1 on a regression and 2 on a usage or parse error.
 //!
 //! Entries with different config fingerprints are never trended against
 //! each other — a changed workload is a new baseline, not a regression.
 
-use dgc_prof::config_fingerprint;
+use crate::provenance::config_fingerprint;
 use serde::{Serialize, Value};
 
 /// Ledger row schema. History: 1 — the retired self-benchmark's sections
@@ -187,7 +186,7 @@ pub struct LedgerEntry {
     pub timestamp: String,
     /// Abbreviated git revision the run was built from (`+` = dirty).
     pub git_rev: String,
-    /// Workload fingerprint ([`dgc_prof::config_fingerprint`]); trend
+    /// Workload fingerprint (`provenance::config_fingerprint`); trend
     /// comparisons only happen between equal fingerprints.
     pub config_hash: String,
     /// The perfbench result the row records (`None` on schema-1 rows).

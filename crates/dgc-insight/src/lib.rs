@@ -15,16 +15,20 @@
 //! * [`folded_stacks`] — inferno-compatible flamegraph export;
 //!   [`validate_folded`] is its CI smoke check.
 //! * [`Ledger`] — the append-only cross-run perf ledger
-//!   (`results/ledger.jsonl`): provenance-stamped perfbench runs
-//!   ([`PerfbenchResult`]) with a trend report and a trailing-median
-//!   regression gate sharing `prof-diff`'s exit contract.
+//!   (`results/ledger.jsonl`): perfbench runs ([`PerfbenchResult`])
+//!   stamped with [`git_rev`] and a fingerprint of the workload, with a
+//!   trend report and a trailing-median regression gate.
 //!
 //! The `dgc-insight` binary fronts all of it: `analyze`, `append`,
-//! `report`, `check`, `flame-check`.
+//! `report`, `check`, `flame-check`, and `trace-check`, which validates
+//! a Chrome trace export with [`dgc_obs::validate_chrome_trace`]. It
+//! exits 0 on a pass, 1 on a regression or an invalid input, and 2 on a
+//! usage or parse error.
 
 mod critical;
 mod flame;
 mod ledger;
+mod provenance;
 
 pub use critical::{
     blame_devices, blame_instances, blame_stalls, gantt, render_report, BlameRow, BlameTable,
@@ -35,3 +39,4 @@ pub use ledger::{
     iso8601_utc, CheckDelta, Ledger, LedgerCheck, LedgerEntry, LedgerSection, PerfbenchMetric,
     PerfbenchResult, LEDGER_SCHEMA_VERSION,
 };
+pub use provenance::git_rev;

@@ -1,5 +1,6 @@
 //! Exit-code contract of `dgc-insight append` and `check` over perfbench
-//! result lines — what `ci.sh` relies on.
+//! result lines, and of `trace-check` over Chrome traces — what `ci.sh`
+//! relies on.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -73,4 +74,29 @@ fn append_records_clean_runs_and_refuses_the_rest() {
     let out = insight(&check);
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stdout).contains("REGRESSED serve-closed instances/s"));
+}
+
+#[test]
+fn trace_check_exit_codes() {
+    let good = write_temp(
+        "trace_good.json",
+        r#"{"traceEvents":[{"name":"a","ph":"X","pid":0,"tid":0,"ts":0,"dur":1}]}"#,
+    );
+    let bad = write_temp(
+        "trace_bad.json",
+        r#"{"traceEvents":[{"ph":"B","name":"a","pid":0}]}"#,
+    );
+
+    let out = insight(&["trace-check", good.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("ok (1 events)"));
+
+    let out = insight(&["trace-check", bad.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+
+    let out = insight(&["trace-check"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+
+    let _ = std::fs::remove_file(good);
+    let _ = std::fs::remove_file(bad);
 }

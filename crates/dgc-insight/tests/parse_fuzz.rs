@@ -14,7 +14,9 @@ const RESULT_LINE: &str = r#"{"correct": true, "attempted": 24, "failed": 0, "me
 
 /// JSON punctuation, digits, escapes and a few multi-byte characters.
 fn noise() -> impl Strategy<Value = String> {
-    let chars = "{}[]\":,0-9.eE+ntrufals\\\n é–😀\u{0}".chars().collect();
+    let chars = "{}[]\":,-0123456789.eE+ntrufals\\\n é–😀\u{0}"
+        .chars()
+        .collect();
     prop::collection::vec(prop::sample::select(chars), 0..12).prop_map(|c| c.into_iter().collect())
 }
 

@@ -1,7 +1,7 @@
 //! dgc-monitor CLI: lint snapshot logs, evaluate SLO specs, render the
 //! HTML dashboard.
 //!
-//! Exit contract (shared with prof-diff and flame-check):
+//! Exit contract (shared with `dgc-insight`):
 //! * `0` — success (`slo`: verdict ok or warn)
 //! * `1` — finding (`lint`: invalid log; `slo`: breach)
 //! * `2` — usage, I/O or parse error on inputs

@@ -28,8 +28,8 @@
 //! snapshots is `bad(w) / (budget × N)` for an `N`-snapshot series. The
 //! fast window alerts at ≥ 5% of budget by default, the slow window at
 //! ≥ 1%; an SLO **breaches** when both alert, **warns** when exactly one
-//! does. Exit codes follow prof-diff: 0 pass/warn, 1 breach, 2 spec or
-//! input error.
+//! does. `dgc-monitor slo` exits 0 on pass or warn, 1 on a breach and 2
+//! on a spec or input error.
 
 use crate::openmetrics::Snapshot;
 use serde::Value;

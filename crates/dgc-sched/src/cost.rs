@@ -3,8 +3,8 @@
 //! The informed policies need `cost(i, d)` — how long instance `i` would
 //! take on device `d`. We get it from **pilot runs**: each *distinct*
 //! argument line runs once, alone, on a reference device, and the pilot's
-//! kernel time plus its `dgc-prof` roofline classification predict the
-//! time on any other device:
+//! kernel time plus its roofline classification ([`RooflinePoint`])
+//! predict the time on any other device:
 //!
 //! * compute- or latency-bound pilots scale with the **core clock** —
 //!   fewer cycles per second is the only thing a derated device changes
@@ -16,8 +16,8 @@
 //! the ensemble, and they are *predictions*: the executor never
 //! feeds them back into reported times.
 
+use crate::roofline::{BoundClass, RooflinePoint};
 use dgc_core::{run_ensemble, EnsembleError, EnsembleOptions, HostApp};
-use dgc_prof::{BoundClass, RooflinePoint};
 use gpu_arch::GpuSpec;
 use gpu_sim::Gpu;
 use host_rpc::HostServices;

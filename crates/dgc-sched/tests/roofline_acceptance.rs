@@ -11,7 +11,7 @@
 
 use dgc_apps::app_by_name;
 use dgc_core::{run_ensemble, EnsembleOptions};
-use dgc_prof::{BoundClass, RooflinePoint};
+use dgc_sched::{BoundClass, RooflinePoint};
 use gpu_arch::GpuSpec;
 use gpu_sim::Gpu;
 use host_rpc::HostServices;
